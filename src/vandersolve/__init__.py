@@ -8,14 +8,9 @@ from .field import (
     CountingNumber,
     OpCounter,
     ScalarParseError,
-    add,
     counting,
     exact_div,
-    inv,
-    mul,
-    neg,
     parse_scalar,
-    sub,
     values_equal,
 )
 from .kernel import (
@@ -28,7 +23,7 @@ from .kernel import (
     solve_general,
     solve_overdetermined,
 )
-from .poly import Polynomial, evaluate
+from .poly import Polynomial
 from .symfuncs import (
     DuplicateNodeError,
     NodeSet,
@@ -65,7 +60,6 @@ __all__ = [
     "Polynomial",
     "ScalarParseError",
     "SigmaTable",
-    "add",
     "build_matrix",
     "check_root_identity",
     "compute_sigma",
@@ -74,19 +68,14 @@ __all__ = [
     "deflate_all",
     "determinant",
     "exact_div",
-    "evaluate",
     "interpolate",
-    "inv",
     "inverse",
     "kernel_basis",
-    "mul",
-    "neg",
     "parse_scalar",
     "poly_from_roots",
     "sample_solution",
     "solve_general",
     "solve_overdetermined",
     "solve_square",
-    "sub",
     "values_equal",
 ]

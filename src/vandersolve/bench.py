@@ -166,46 +166,33 @@ def loglog_slope(sizes, counts) -> float:
     return num / den
 
 
-def _median_time(fn, repetitions: int) -> float:
-    times = []
-    for _ in range(repetitions):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return statistics.median(times)
+def _sweep(config: BenchConfig, kernel, inputs) -> BenchReport:
+    """Median time of `kernel(*inputs(p), ops)` per size.
 
-
-def run_closed_form(config: BenchConfig) -> BenchReport:
-    """Benchmark the closed-form solve over the configured sizes."""
+    Op counts depend on the size alone, so each size's count is read from
+    the counter of its first timed repetition.
+    """
     times, counts = [], []
     for p in config.sizes:
-        nodes, values = bench_nodes(p), bench_values(p)
-        ops = OpCounter()
-        solve_square_floats(nodes, values, ops)
-        counts.append(ops.total)
-        times.append(_median_time(
-            lambda: solve_square_floats(nodes, values, OpCounter()),
-            config.repetitions))
-    return BenchReport(tuple(config.sizes), tuple(times), tuple(counts),
-                       loglog_slope(config.sizes, counts))
-
-
-def run_gaussian(config: BenchConfig) -> BenchReport:
-    """Benchmark generic elimination on the same systems."""
-    times, counts = [], []
-    for p in config.sizes:
-        nodes, values = bench_nodes(p), bench_values(p)
-        matrix = build_matrix_floats(nodes, p)
-        ops = OpCounter()
-        gaussian_solve_floats(matrix, values, ops)
-        counts.append(ops.total)
-        times.append(_median_time(
-            lambda: gaussian_solve_floats(matrix, values, OpCounter()),
-            config.repetitions))
+        args = inputs(p)
+        samples = []
+        for rep in range(config.repetitions):
+            ops = OpCounter()
+            start = time.perf_counter()
+            kernel(*args, ops)
+            samples.append(time.perf_counter() - start)
+            if rep == 0:
+                counts.append(ops.total)
+        times.append(statistics.median(samples))
     return BenchReport(tuple(config.sizes), tuple(times), tuple(counts),
                        loglog_slope(config.sizes, counts))
 
 
 def run_benchmark(config: BenchConfig) -> dict:
     """Both lanes on identical systems: {"closed_form": ..., "gaussian": ...}."""
-    return {"closed_form": run_closed_form(config), "gaussian": run_gaussian(config)}
+    return {
+        "closed_form": _sweep(config, solve_square_floats,
+                              lambda p: (bench_nodes(p), bench_values(p))),
+        "gaussian": _sweep(config, gaussian_solve_floats,
+                           lambda p: (build_matrix_floats(bench_nodes(p), p), bench_values(p))),
+    }

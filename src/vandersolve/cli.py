@@ -5,14 +5,17 @@ files); results leave as compact JSON on stdout with stable key order, or
 as an aligned table with --pretty.  Exact arithmetic is the default and
 --float opts into the benchmark-grade lane.
 
-Exit codes: 0 success, 1 parse error or missing input, 2 invalid problem
-(duplicate nodes, dimension mismatch), 3 inconsistent overdetermined
-system, 4 --verify mismatch (indicates a bug; unreachable in practice).
+Exit codes: 0 success, 1 parse error, missing input or unwritable --out,
+2 invalid problem (duplicate nodes, dimension mismatch, n < 1, a float
+result that is not finite), 3 inconsistent overdetermined system, 4
+--verify mismatch.  In the exact lane exit 4 would mean a bug; with
+--float it also reports rounding error beyond the comparison tolerance.
 """
 
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -24,13 +27,14 @@ from .kernel import (
     solve_general,
     solve_overdetermined,
 )
+from .poly import Polynomial, first_miss
 from .symfuncs import (
     DuplicateNodeError,
     NodeSet,
     compute_sigma,
     deflate_all,
 )
-from .vandermonde import DimensionMismatchError, build_matrix, interpolate
+from .vandermonde import DimensionMismatchError, interpolate
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -80,8 +84,21 @@ def _value_list(problem: ProblemInput, nodes: NodeSet) -> list:
     return _parse_scalars(problem.values, problem.float_mode)
 
 
+def _dimension(n: int) -> int:
+    """Check the ambient dimension of solve and kernel (--n or the file's "n")."""
+    if n < 1:
+        raise CliError("need n >= 1", EXIT_INVALID)
+    return n
+
+
 def _render(x, problem: ProblemInput):
-    return float(x) if problem.float_mode else str(x)
+    if not problem.float_mode:
+        return str(x)
+    value = float(x)
+    if not math.isfinite(value):
+        raise CliError(f"float result {value} is not finite; rerun without --float",
+                       EXIT_INVALID)
+    return value
 
 
 def _render_vector(v, problem: ProblemInput) -> list:
@@ -126,10 +143,13 @@ def _read_json(path: str) -> tuple:
         raise CliError(f"{path} is not valid JSON: {exc}", EXIT_PARSE) from exc
     if not isinstance(data, dict) or "nodes" not in data:
         raise CliError(f'{path} must be an object with a "nodes" list', EXIT_PARSE)
+    for key in ("nodes", "values"):
+        if data.get(key) is not None and not isinstance(data[key], list):
+            raise CliError(f'"{key}" in {path} must be a list', EXIT_PARSE)
     nodes = [str(x) for x in data["nodes"]]
     values = [str(x) for x in data["values"]] if data.get("values") is not None else None
     n = data.get("n")
-    if n is not None and not isinstance(n, int):
+    if n is not None and (isinstance(n, bool) or not isinstance(n, int)):
         raise CliError(f'"n" in {path} must be an integer', EXIT_PARSE)
     return nodes, values, n
 
@@ -176,40 +196,36 @@ def _verify_fail(detail: str):
     raise CliError(f"verification failed: {detail}", EXIT_VERIFY)
 
 
-def _verify_interpolation(nodes, values, poly, problem):
-    for a, qv in zip(nodes, values):
-        if not values_equal(poly.evaluate(a), qv):
-            _verify_fail(f"interpolant misses the point at node {a}")
-    reference = oracle.gaussian_solve(build_matrix(nodes, len(nodes)), values)
+def _verify_residual(poly, nodes, values, what: str):
+    """The polynomial must take its value at every node."""
+    miss = first_miss(poly, nodes, values)
+    if miss is not None:
+        _verify_fail(f"{what} misses its value at node {nodes[miss[0]]}")
+
+
+def _verify_basis(nodes, basis, n: int):
+    """n - p annihilated vectors, vector k ending in a 1 at index p + k.
+
+    The trailing ones form an echelon pattern, so the vectors are
+    independent and, with distinct nodes, span the whole kernel.
+    """
+    p = len(nodes)
+    if basis.dimension != n - p:
+        _verify_fail("wrong kernel dimension")
+    zeros = [0] * p
+    for k, vec in enumerate(basis.vectors):
+        if len(vec) != n or vec[p + k] != 1 or any(x != 0 for x in vec[p + k + 1:]):
+            _verify_fail(f"kernel vector {k} breaks the echelon pattern")
+        _verify_residual(Polynomial(vec), nodes, zeros, f"kernel vector {k}")
+
+
+def _verify_interpolation(nodes, values, poly):
+    _verify_residual(poly, nodes, values, "interpolant")
+    reference = oracle.solve_by_elimination(nodes, values)
     padded = list(poly.coeffs) + [0] * (len(nodes) - len(poly.coeffs))
     for mine, ref in zip(padded, reference):
         if not values_equal(mine, ref):
             _verify_fail("coefficients disagree with the elimination oracle")
-
-
-def _verify_space(nodes, values, space, n, problem):
-    matrix = build_matrix(nodes, n)
-    for got, want in zip(matrix.mat_vec(list(space.particular)), values):
-        if not values_equal(got, want):
-            _verify_fail("particular solution violates the system")
-    for vec in space.basis.vectors:
-        if any(not values_equal(x, 0) for x in matrix.mat_vec(list(vec))):
-            _verify_fail("kernel vector is not annihilated")
-    if not problem.float_mode and space.basis.vectors:
-        from .vandermonde import DenseMatrix
-
-        stacked = DenseMatrix.from_rows([list(v) for v in space.basis.vectors])
-        if oracle.gaussian_rank(stacked) != space.basis.dimension:
-            _verify_fail("kernel vectors are not independent")
-
-
-def _verify_kernel(nodes, basis, n):
-    matrix = build_matrix(nodes, n)
-    if basis.dimension != n - len(nodes):
-        _verify_fail("wrong kernel dimension")
-    for vec in basis.vectors:
-        if any(not values_equal(x, 0) for x in matrix.mat_vec(list(vec))):
-            _verify_fail("kernel vector is not annihilated")
 
 
 def _verify_sigma(nodes, table, deflated):
@@ -243,7 +259,7 @@ def cmd_interpolate(problem: ProblemInput, verify: bool = False) -> tuple:
         "degree": poly.degree,
     }
     if verify:
-        _verify_interpolation(nodes, values, poly, problem)
+        _verify_interpolation(nodes, values, poly)
         payload["verified"] = True
     return payload, EXIT_OK
 
@@ -251,9 +267,7 @@ def cmd_interpolate(problem: ProblemInput, verify: bool = False) -> tuple:
 def cmd_solve(problem: ProblemInput, verify: bool = False) -> tuple:
     nodes = _node_set(problem)
     values = _value_list(problem, nodes)
-    n = problem.n if problem.n is not None else len(nodes)
-    if n < 1:
-        raise CliError("need n >= 1", EXIT_INVALID)
+    n = _dimension(problem.n if problem.n is not None else len(nodes))
 
     if len(nodes) > n:
         result = solve_overdetermined(nodes, values, n)
@@ -265,10 +279,7 @@ def cmd_solve(problem: ProblemInput, verify: bool = False) -> tuple:
             }
             return payload, EXIT_INCONSISTENT
         if verify:
-            matrix = build_matrix(nodes, n)
-            for got, want in zip(matrix.mat_vec(list(result.solution)), values):
-                if not values_equal(got, want):
-                    _verify_fail("overdetermined solution violates the system")
+            _verify_residual(Polynomial(result.solution), nodes, values, "solution")
         payload = {
             "particular": _render_vector(result.solution, problem),
             "kernel_basis": [],
@@ -283,7 +294,8 @@ def cmd_solve(problem: ProblemInput, verify: bool = False) -> tuple:
         "kernel_basis": [_render_vector(v, problem) for v in space.basis.vectors],
     }
     if verify:
-        _verify_space(nodes, values, space, n, problem)
+        _verify_residual(Polynomial(space.particular), nodes, values, "particular solution")
+        _verify_basis(nodes, space.basis, n)
         payload["verified"] = True
     return payload, EXIT_OK
 
@@ -292,13 +304,14 @@ def cmd_kernel(problem: ProblemInput, verify: bool = False) -> tuple:
     nodes = _node_set(problem)
     if problem.n is None:
         raise CliError("kernel needs the ambient dimension --n", EXIT_PARSE)
-    basis = kernel_basis(nodes, problem.n)
+    n = _dimension(problem.n)
+    basis = kernel_basis(nodes, n)
     payload = {
         "dimension": basis.dimension,
         "kernel_basis": [_render_vector(v, problem) for v in basis.vectors],
     }
     if verify:
-        _verify_kernel(nodes, basis, problem.n)
+        _verify_basis(nodes, basis, n)
         payload["verified"] = True
     return payload, EXIT_OK
 
@@ -381,11 +394,14 @@ def _emit(payload: dict, args) -> None:
     else:
         text = json.dumps(payload, separators=(",", ":"), ensure_ascii=False)
     out = getattr(args, "out", None)
-    if out:
+    if not out:
+        print(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {out}: {exc}", EXIT_PARSE) from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -460,6 +476,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, code = _dispatch(args)
+        _emit(payload, args)
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
@@ -472,7 +489,6 @@ def main(argv=None) -> int:
     except (DimensionMismatchError, OverdeterminedInputError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
-    _emit(payload, args)
     return code
 
 

@@ -1,13 +1,12 @@
-"""Scalar arithmetic shared by every solver lane.
+"""Scalar parsing, exact division and operation counting.
 
 The exact lane works on `fractions.Fraction` values: arbitrary-precision,
 always in lowest terms with a positive denominator, so overflow is
-impossible and equality is decidable.  The float lane uses machine doubles
-and exists for the benchmark path only; identity checks there go through
+impossible and equality is decidable.  The algorithms use the scalars'
+own operators; plain ints act as the additive and multiplicative
+identities, and `exact_div` keeps a quotient of two of them rational.  The
+float lane uses machine doubles; identity checks there go through
 `values_equal`, which falls back to a tolerance comparison.
-
-All algorithms in this package are generic over either kind of scalar;
-plain ints act as the additive and multiplicative identities in both.
 
 `CountingNumber` wraps a scalar and tallies every arithmetic operation into
 a shared `OpCounter`.  It exists for complexity diagnostics only and never
@@ -49,22 +48,6 @@ def parse_scalar(text: str, float_mode: bool = False) -> Scalar:
     return result
 
 
-def add(x: Scalar, y: Scalar) -> Scalar:
-    return x + y
-
-
-def sub(x: Scalar, y: Scalar) -> Scalar:
-    return x - y
-
-
-def mul(x: Scalar, y: Scalar) -> Scalar:
-    return x * y
-
-
-def neg(x: Scalar) -> Scalar:
-    return -x
-
-
 def exact_div(x, y):
     """Field division that keeps int identities exact: int/int stays rational.
 
@@ -74,13 +57,6 @@ def exact_div(x, y):
     if isinstance(x, int) and isinstance(y, int):
         return Fraction(x, y)
     return x / y
-
-
-def inv(x: Scalar) -> Scalar:
-    """Multiplicative inverse; zero is refused instead of crashing or NaN-ing."""
-    if x == 0:
-        raise ZeroDivisionError("zero has no multiplicative inverse")
-    return exact_div(1, x)
 
 
 def values_equal(x, y, rel_tol: float = 1e-9, abs_tol: float = 1e-12) -> bool:

@@ -10,8 +10,8 @@ reported value, not an exception.
 
 from dataclasses import dataclass
 
-from .field import values_equal
-from .symfuncs import NodeSet, compute_sigma
+from .poly import Polynomial, first_miss
+from .symfuncs import NodeSet, poly_from_roots
 from .vandermonde import DimensionMismatchError, solve_square
 
 
@@ -48,21 +48,17 @@ class AffineSolutionSpace:
 def kernel_basis(nodes: NodeSet, n: int) -> KernelBasis:
     """Basis of the null space of the p x n matrix on these nodes.
 
-    Position t of the first vector holds (-1)^(p-t) sigma(p-t) for
-    t = 0..p (ending in 1), the rest is zero; later vectors shift the block
-    right one slot.  Empty when p == n.
+    The first vector holds the coefficients of the monic root product
+    prod (x - a_i), position t being (-1)^(p-t) sigma(p-t) for t = 0..p
+    (ending in 1), the rest is zero; later vectors shift the block right
+    one slot.  Empty when p == n.
     """
     p = len(nodes)
     if p > n:
         raise OverdeterminedInputError(
             f"matrix with {p} rows and {n} columns has a trivial kernel; "
             "use solve_overdetermined")
-    table = compute_sigma(nodes)
-    head = []
-    for t in range(p + 1):
-        c = table.sigma[p - t]
-        head.append(c if (p - t) % 2 == 0 else -c)
-    head = tuple(head)
+    head = poly_from_roots(nodes).coeffs
     vectors = tuple(
         (0,) * k + head + (0,) * (n - p - 1 - k) for k in range(n - p))
     return KernelBasis(n=n, p=p, vectors=vectors)
@@ -126,10 +122,8 @@ def solve_overdetermined(nodes: NodeSet, q, n: int) -> OverdeterminedResult:
         raise ValueError("system is not overdetermined; use solve_general")
     head = NodeSet(nodes.nodes[:n])
     w = solve_square(head, list(q[:n]))
-    for r in range(n, p):
-        acc = 0
-        for c in reversed(w):
-            acc = acc * nodes[r] + c
-        if not values_equal(acc, q[r]):
-            return OverdeterminedResult(None, inconsistent_at=r, lhs=acc, rhs=q[r])
+    miss = first_miss(Polynomial(tuple(w)), nodes, q, start=n)
+    if miss is not None:
+        r, lhs = miss
+        return OverdeterminedResult(None, inconsistent_at=r, lhs=lhs, rhs=q[r])
     return OverdeterminedResult(tuple(w))

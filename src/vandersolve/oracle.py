@@ -11,7 +11,7 @@ import math
 from itertools import combinations
 
 from .field import exact_div
-from .vandermonde import DenseMatrix
+from .vandermonde import DenseMatrix, build_matrix
 
 
 class SingularMatrixError(ArithmeticError):
@@ -51,6 +51,11 @@ def gaussian_solve(m: DenseMatrix, q) -> list:
             s = s - a[i][c] * x[c]
         x[i] = exact_div(s, a[i][i])
     return x
+
+
+def solve_by_elimination(nodes, q) -> list:
+    """gaussian_solve on the explicit square Vandermonde matrix of the nodes."""
+    return gaussian_solve(build_matrix(nodes, len(nodes)), q)
 
 
 def gaussian_rank(m: DenseMatrix) -> int:

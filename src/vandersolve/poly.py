@@ -2,6 +2,8 @@
 
 from dataclasses import dataclass
 
+from .field import values_equal
+
 
 def _trimmed(coeffs) -> tuple:
     out = list(coeffs)
@@ -39,6 +41,15 @@ class Polynomial:
         return self.evaluate(x)
 
 
-def evaluate(poly: Polynomial, x):
-    """Module-level Horner evaluation; same as Polynomial.evaluate."""
-    return poly.evaluate(x)
+def first_miss(poly: Polynomial, nodes, values, start: int = 0):
+    """First node where the polynomial misses its value, or None.
+
+    Returns (i, poly(nodes[i])) for the lowest i >= start whose value
+    differs from values[i].  Exact comparison for rationals, tolerance
+    comparison for floats.  One Horner evaluation per node.
+    """
+    for i in range(start, len(nodes)):
+        lhs = poly.evaluate(nodes[i])
+        if not values_equal(lhs, values[i]):
+            return i, lhs
+    return None

@@ -121,14 +121,12 @@ def deflate(table: SigmaTable, index: int) -> tuple:
     return tuple(row)
 
 
-def deflate_all(table: SigmaTable, nodes: NodeSet | None = None) -> SigmaTable:
+def deflate_all(table: SigmaTable) -> SigmaTable:
     """New table with all p deflated rows filled (quadratic total work).
 
     Rows are independent, so the loop could run in parallel without
     changing any result.
     """
-    if nodes is not None and nodes != table.nodes:
-        raise ValueError("nodes do not match the table being deflated")
     rows = tuple(deflate(table, i) for i in range(table.p))
     return replace(table, deflated=rows)
 

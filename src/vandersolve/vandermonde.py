@@ -1,10 +1,15 @@
 """Square Vandermonde systems in closed form.
 
-Determinant, inverse and solve all come from one sigma pass plus one
-deflation pass (quadratic total work, no elimination).  Column j of the
-inverse holds the coefficients of the Lagrange basis polynomial that is 1
-at node j and 0 at every other node; the solve combines those columns with
-one reused denominator per column.
+Inverse and solve both come from one sigma pass plus one deflation pass
+(quadratic total work, no elimination); the determinant is the direct
+product of node differences.  Column j of the inverse holds the
+coefficients of the Lagrange basis polynomial that is 1 at node j and 0 at
+every other node; the solve combines those columns with one reused
+denominator per column, and `interpolate` wraps the result in a
+`Polynomial` (evaluate it with `Polynomial.evaluate`).
+
+`DenseMatrix` and `build_matrix` give the explicit matrix that the
+elimination oracle and the tests work on; no closed form uses them.
 
 Indexing note: everything here is 0-based.  Matrix entry (i, j) is
 node_i ** j, and coefficient index i is the degree-i coefficient.
@@ -13,7 +18,7 @@ node_i ** j, and coefficient index i is the degree-i coefficient.
 from dataclasses import dataclass
 
 from .field import exact_div
-from .poly import Polynomial, evaluate  # re-exported: evaluate(poly, x)
+from .poly import Polynomial
 from .symfuncs import NodeSet, compute_sigma, deflate_all
 
 __all__ = [
@@ -22,7 +27,6 @@ __all__ = [
     "Polynomial",
     "build_matrix",
     "determinant",
-    "evaluate",
     "interpolate",
     "inverse",
     "solve_square",

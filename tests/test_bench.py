@@ -104,6 +104,18 @@ def test_config_validation(sizes, reps):
         bench.BenchConfig(sizes=sizes, repetitions=reps)
 
 
+def test_sweep_counts_equal_standalone_counts():
+    sizes = (4, 9, 16)
+    reports = bench.run_benchmark(bench.BenchConfig(sizes=sizes, repetitions=2))
+    for i, p in enumerate(sizes):
+        nodes, values = bench.bench_nodes(p), bench.bench_values(p)
+        closed, gauss = OpCounter(), OpCounter()
+        bench.solve_square_floats(nodes, values, closed)
+        bench.gaussian_solve_floats(bench.build_matrix_floats(nodes, p), values, gauss)
+        assert reports["closed_form"].op_counts[i] == closed.total
+        assert reports["gaussian"].op_counts[i] == gauss.total
+
+
 def test_run_benchmark_smoke():
     reports = bench.run_benchmark(bench.BenchConfig(sizes=(8, 16, 32), repetitions=1))
     for name in ("closed_form", "gaussian"):

@@ -1,13 +1,17 @@
 """CLI contract: frozen JSON payloads, exit codes, file inputs and outputs."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from vandersolve import cli
 from vandersolve.cli import ProblemInput, cmd_interpolate, main
+from vandersolve.kernel import KernelBasis, kernel_basis, solve_general
+from vandersolve.poly import Polynomial
 from vandersolve.symfuncs import NodeSet
 from vandersolve.vandermonde import interpolate
 
@@ -137,6 +141,23 @@ def test_kernel_with_p_above_n_is_exit_two(capsys):
     assert "solve_overdetermined" in err
 
 
+@pytest.mark.parametrize("command", ["kernel", "solve"])
+def test_nonpositive_n_is_exit_two(capsys, command):
+    code, out, err = run_cli(capsys, command, "--nodes", "1,2", "--values", "1,2",
+                             "--n", "-3")
+    assert code == 2
+    assert out == ""
+    assert "need n >= 1" in err
+
+
+def test_nonfinite_float_result_is_exit_two(capsys):
+    code, out, err = run_cli(capsys, "interpolate", "--float", "--nodes", "0,1e-308",
+                             "--values", "0,1e10")
+    assert code == 2
+    assert out == ""
+    assert "not finite" in err
+
+
 # --- file inputs and outputs ------------------------------------------------------
 
 
@@ -193,6 +214,21 @@ def test_json_flag_n_overrides_file(tmp_path, capsys):
     assert json.loads(out)["particular"] == ["1", "1"]
 
 
+@pytest.mark.parametrize("data", [
+    {"nodes": "123", "values": ["1", "2", "3"]},
+    {"nodes": ["1", "2"], "values": "12"},
+    {"nodes": 5, "values": ["1"]},
+    {"nodes": ["1", "2"], "values": ["1", "2"], "n": True},
+], ids=["nodes-string", "values-string", "nodes-number", "n-bool"])
+def test_json_wrong_types_are_exit_one(tmp_path, capsys, data):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_cli(capsys, "solve", "--json", str(path))
+    assert code == 1
+    assert out == ""
+    assert "must be" in err
+
+
 def test_conflicting_sources_rejected(tmp_path, capsys):
     path = tmp_path / "points.csv"
     path.write_text("0,1\n", encoding="utf-8")
@@ -208,6 +244,16 @@ def test_out_writes_file_instead_of_stdout(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert target.read_text(encoding="utf-8") == '{"coefficients":["1","1"],"degree":1}\n'
+
+
+def test_out_into_missing_directory_is_exit_one(tmp_path, capsys):
+    target = tmp_path / "missing" / "result.json"
+    code, out, err = run_cli(capsys, "interpolate", "--nodes", "0,1", "--values", "1,2",
+                             "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert "cannot write" in err
+    assert not target.exists()
 
 
 # --- float lane, verify, pretty ---------------------------------------------------
@@ -227,10 +273,50 @@ def test_verify_happy_paths(capsys):
         ("solve", "--nodes", "0,1,2", "--values", "1,2,3", "--n", "2", "--verify"),
         ("sigma", "--nodes", "1,2,3", "--deflated", "--verify"),
         ("kernel", "--nodes", "2", "--n", "3", "--verify"),
+        ("kernel", "--nodes", "1,-2,3/2", "--n", "6", "--verify"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert json.loads(out)["verified"] is True
+
+
+def _bump_first(coeffs) -> tuple:
+    return (coeffs[0] + 1,) + tuple(coeffs[1:])
+
+
+def _repeat_first(basis: KernelBasis) -> KernelBasis:
+    return replace(basis, vectors=(basis.vectors[0],) + basis.vectors[:-1])
+
+
+def _space_with_wrong_coefficient(nodes, q, n):
+    space = solve_general(nodes, q, n)
+    return replace(space, particular=_bump_first(space.particular))
+
+
+def _space_with_repeated_vector(nodes, q, n):
+    space = solve_general(nodes, q, n)
+    return replace(space, basis=_repeat_first(space.basis))
+
+
+WIDE = ("solve", "--nodes", "0,1", "--values", "1,2", "--n", "4")
+
+
+@pytest.mark.parametrize("argv,target,fake", [
+    (("interpolate", "--nodes", "1,2,3", "--values", "2,3,5"), "interpolate",
+     lambda nodes, q: Polynomial(_bump_first(interpolate(nodes, q).coeffs))),
+    (WIDE, "solve_general", _space_with_wrong_coefficient),
+    (WIDE, "solve_general", _space_with_repeated_vector),
+    (("kernel", "--nodes", "1,2", "--n", "5"), "kernel_basis",
+     lambda nodes, n: _repeat_first(kernel_basis(nodes, n))),
+], ids=["interpolate-coefficient", "solve-coefficient", "solve-repeated-vector",
+        "kernel-repeated-vector"])
+def test_verify_catches_tampered_results(capsys, monkeypatch, argv, target, fake):
+    monkeypatch.setattr(cli, target, fake)
+    assert run_cli(capsys, *argv)[0] == 0  # the tampered result still renders
+    code, out, err = run_cli(capsys, *argv, "--verify")
+    assert code == 4
+    assert out == ""
+    assert "verification failed" in err
 
 
 def test_sigma_verify_refuses_huge_enumeration(capsys):

@@ -5,19 +5,15 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 
 from vandersolve.field import (
     CountingNumber,
     OpCounter,
     ScalarParseError,
-    add,
     counting,
-    inv,
-    mul,
-    neg,
+    exact_div,
     parse_scalar,
-    sub,
     values_equal,
 )
 
@@ -56,50 +52,29 @@ def test_parse_float_rejects_nonfinite(text):
         parse_scalar(text, float_mode=True)
 
 
-def test_add_halves():
-    assert add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
-
-
 def test_inv_examples():
-    assert inv(Fraction(2, 3)) == Fraction(3, 2)
-    assert inv(Fraction(1)) == 1
+    assert exact_div(1, Fraction(2, 3)) == Fraction(3, 2)
+    assert exact_div(1, 1) == 1
+    assert isinstance(exact_div(1, 2), Fraction)  # int identities stay rational
 
 
 def test_inv_refuses_zero():
-    with pytest.raises(ZeroDivisionError):
-        inv(Fraction(0))
+    for zero in (Fraction(0), 0):
+        with pytest.raises(ZeroDivisionError):
+            exact_div(1, zero)
 
 
-@settings(max_examples=1000)
-@given(fractions, fractions, fractions)
-def test_field_axioms(x, y, z):
-    assert add(add(x, y), z) == add(x, add(y, z))
-    assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z))
-    assert add(x, y) == add(y, x)
-    assert mul(x, y) == mul(y, x)
-
-
-@given(fractions, fractions)
+@given(fractions, nonzero_fractions)
 def test_results_stay_canonical(x, y):
-    for r in (add(x, y), sub(x, y), mul(x, y)):
+    for r in (x + y, x - y, x * y, exact_div(x, y), exact_div(x.numerator, y.numerator)):
         assert isinstance(r, Fraction)
         assert math.gcd(r.numerator, r.denominator) == 1
         assert r.denominator > 0
 
 
-@given(fractions)
-def test_zero_annihilates(x):
-    assert mul(Fraction(0), x) == 0
-
-
-@given(fractions)
-def test_negation_is_an_involution(x):
-    assert neg(neg(x)) == x
-
-
 @given(nonzero_fractions)
 def test_inverse_cancels(x):
-    assert mul(x, inv(x)) == 1
+    assert x * exact_div(1, x) == 1
 
 
 def test_values_equal_is_exact_for_rationals():

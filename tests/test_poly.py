@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from vandersolve.poly import Polynomial, evaluate
+from vandersolve.poly import Polynomial, first_miss
 
 
 def test_trailing_zeros_trimmed():
@@ -19,9 +19,9 @@ def test_zero_polynomial_is_empty():
 def test_evaluate_at_roots():
     # (x-1)(x-2) in ascending coefficients
     p = Polynomial((2, -3, 1))
-    assert evaluate(p, Fraction(1)) == 0
-    assert evaluate(p, Fraction(2)) == 0
-    assert evaluate(p, Fraction(3)) == 2
+    assert p.evaluate(Fraction(1)) == 0
+    assert p.evaluate(Fraction(2)) == 0
+    assert p.evaluate(Fraction(3)) == 2
 
 
 def test_evaluate_power_sum():
@@ -31,3 +31,17 @@ def test_evaluate_power_sum():
 def test_polynomial_is_callable():
     p = Polynomial((Fraction(1, 2), Fraction(1)))
     assert p(Fraction(3)) == Fraction(7, 2)
+
+
+def test_first_miss_reports_lowest_miss_from_start():
+    p = Polynomial((2, -3, 1))  # (x-1)(x-2)
+    nodes = (Fraction(1), Fraction(2), Fraction(3), Fraction(4))
+    assert first_miss(p, nodes, [0, 0, 2, 6]) is None
+    assert first_miss(p, nodes, [1, 0, 5, 6]) == (0, 0)
+    assert first_miss(p, nodes, [1, 0, 5, 6], start=1) == (2, 2)
+
+
+def test_first_miss_tolerates_float_rounding_only():
+    p = Polynomial((0.1, 0.2))
+    assert first_miss(p, [1.0], [0.30000000000000004 + 1e-15]) is None
+    assert first_miss(p, [1.0], [0.31]) is not None

@@ -155,13 +155,6 @@ def test_leading_entries_are_one(ns):
     assert all(row[0] == 1 for row in table.deflated)
 
 
-def test_deflate_all_checks_node_argument():
-    table = compute_sigma(make_nodes(1, 2))
-    assert deflate_all(table, make_nodes(1, 2)).deflated is not None
-    with pytest.raises(ValueError):
-        deflate_all(table, make_nodes(1, 3))
-
-
 # --- poly_from_roots / root identity -----------------------------------------
 
 
