@@ -9,9 +9,7 @@ from .field import (
     OpCounter,
     ScalarParseError,
     counting,
-    exact_div,
     parse_scalar,
-    values_equal,
 )
 from .kernel import (
     AffineSolutionSpace,
@@ -67,7 +65,6 @@ __all__ = [
     "deflate",
     "deflate_all",
     "determinant",
-    "exact_div",
     "interpolate",
     "inverse",
     "kernel_basis",
@@ -77,5 +74,4 @@ __all__ = [
     "solve_general",
     "solve_overdetermined",
     "solve_square",
-    "values_equal",
 ]

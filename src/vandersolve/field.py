@@ -2,11 +2,14 @@
 
 The exact lane works on `fractions.Fraction` values: arbitrary-precision,
 always in lowest terms with a positive denominator, so overflow is
-impossible and equality is decidable.  The algorithms use the scalars'
-own operators; plain ints act as the additive and multiplicative
-identities, and `exact_div` keeps a quotient of two of them rational.  The
-float lane uses machine doubles; identity checks there go through
-`values_equal`, which falls back to a tolerance comparison.
+impossible and equality is decidable.  The closed forms take ints and
+Fractions alike, lift them to Python ints (`symfuncs.integer_lift`) and
+build one Fraction per output.  The elimination oracle works on the
+scalars themselves, with plain ints as the identities 0 and 1; its
+`exact_div` keeps a quotient of two ints rational.  The float lane uses
+machine doubles; the CLI's cross-checks against the oracles go through
+`values_equal`, which falls back to a tolerance comparison, and residuals
+through `poly.first_miss`.
 
 `CountingNumber` wraps a scalar and tallies every arithmetic operation into
 a shared `OpCounter`.  It exists for complexity diagnostics only and never
@@ -52,7 +55,7 @@ def exact_div(x, y):
     """Field division that keeps int identities exact: int/int stays rational.
 
     Plain ints only ever appear as the identities 0 and 1 inside the
-    algorithms; true division would silently turn them into floats.
+    elimination oracle; true division would silently turn them into floats.
     """
     if isinstance(x, int) and isinstance(y, int):
         return Fraction(x, y)

@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 
-from .field import values_equal
+REL_TOL = 1e-9  # float residuals, relative to the Horner magnitude
 
 
 def _trimmed(coeffs) -> tuple:
@@ -45,11 +45,25 @@ def first_miss(poly: Polynomial, nodes, values, start: int = 0):
     """First node where the polynomial misses its value, or None.
 
     Returns (i, poly(nodes[i])) for the lowest i >= start whose value
-    differs from values[i].  Exact comparison for rationals, tolerance
-    comparison for floats.  One Horner evaluation per node.
+    differs from values[i].  Exact comparison for rationals.  With floats
+    the residual may be REL_TOL times the Horner magnitude
+    sum |c_k| * |x|^k, which bounds the rounding error of the evaluation
+    whatever the size of its terms.  One Horner evaluation per node.
     """
     for i in range(start, len(nodes)):
-        lhs = poly.evaluate(nodes[i])
-        if not values_equal(lhs, values[i]):
+        x, want = nodes[i], values[i]
+        lhs = poly.evaluate(x)
+        if isinstance(lhs, float) or isinstance(want, float):
+            if abs(lhs - want) > REL_TOL * _magnitude(poly.coeffs, abs(x)):
+                return i, lhs
+        elif lhs != want:
             return i, lhs
     return None
+
+
+def _magnitude(coeffs, r):
+    """sum |c_k| * r^k by Horner's scheme."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * r + abs(c)
+    return acc

@@ -10,9 +10,18 @@ one node again in p-1 linear-time steps via
 
 which is exact over rationals; over floats the subtraction cancels badly,
 so the float lane uses it for cost measurement only.
+
+Exact inputs never reach these passes as Fractions: the entry points
+(`poly_from_roots` here, the square solvers in `vandermonde`) first call
+`integer_lift`, which scales the nodes by L, the lcm of their
+denominators.  The passes then run on Python ints, with no gcd anywhere,
+and sigma(t) of the original nodes is sigma(t) of the lifted ones over L^t.
 """
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
+from itertools import chain
+from math import lcm
 
 from .poly import Polynomial
 
@@ -98,6 +107,19 @@ class SigmaTable:
         return 0
 
 
+def integer_lift(nodes: NodeSet, values=()) -> tuple | None:
+    """(L, b): L the lcm of the node denominators and b the NodeSet L * a of ints.
+
+    None unless every node and value is an int or a Fraction; every other
+    scalar type (floats, CountingNumber) takes the generic path.  Scaling
+    by L > 0 keeps the nodes distinct and in order.
+    """
+    if not all(isinstance(x, (int, Fraction)) for x in chain(nodes, values)):
+        return None
+    scale = lcm(*(a.denominator for a in nodes))
+    return scale, NodeSet(tuple(a.numerator * (scale // a.denominator) for a in nodes))
+
+
 def compute_sigma(nodes: NodeSet) -> SigmaTable:
     """All monomial coefficients of the node set in one triangular pass."""
     p = len(nodes)
@@ -139,11 +161,18 @@ def poly_from_roots(nodes: NodeSet) -> Polynomial:
     """Monic polynomial whose roots are exactly the nodes.
 
     The coefficient of x^i is the codegree-(p-i) coefficient with
-    alternating sign.
+    alternating sign.  Exact nodes get Fraction coefficients, one
+    sigma(t)(L * a) / L^t each.
     """
-    table = compute_sigma(nodes)
     p = len(nodes)
-    return Polynomial(tuple(_signed(table.sigma[p - i], p - i) for i in range(p + 1)))
+    lifted = integer_lift(nodes)
+    if lifted is None:
+        sigma = compute_sigma(nodes).sigma
+        return Polynomial(tuple(_signed(sigma[p - i], p - i) for i in range(p + 1)))
+    scale, ints = lifted
+    sigma = compute_sigma(ints).sigma
+    return Polynomial(tuple(Fraction(_signed(sigma[p - i], p - i), scale ** (p - i))
+                            for i in range(p + 1)))
 
 
 def check_root_identity(table: SigmaTable, a):

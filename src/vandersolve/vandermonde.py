@@ -4,9 +4,19 @@ Inverse and solve both come from one sigma pass plus one deflation pass
 (quadratic total work, no elimination); the determinant is the direct
 product of node differences.  Column j of the inverse holds the
 coefficients of the Lagrange basis polynomial that is 1 at node j and 0 at
-every other node; the solve combines those columns with one reused
-denominator per column, and `interpolate` wraps the result in a
+every other node, divided by its denominator D_j; the solve sums those
+columns weighted by q_j / D_j, and `interpolate` wraps the result in a
 `Polynomial` (evaluate it with `Polynomial.evaluate`).
+
+Exact inputs (every node and value an int or a Fraction) are lifted to
+the int nodes b = L * a, L the lcm of the node denominators, and stay in
+ints until one `Fraction(numerator, denominator)` per output.  The lift
+is undone by the diagonal scaling V(b) = V(a) diag(L^i): the solution of
+V(a) w = q is w_i = L^i w'_i with V(b) w' = q.  The solve puts the values
+over one common denominator and the weights over G = lcm(D_j), so each
+output coefficient is one integer dot product.  Every other scalar type
+(floats, `CountingNumber`) runs the same passes generically on its own
+operators; the op-count tests pin that path.
 
 `DenseMatrix` and `build_matrix` give the explicit matrix that the
 elimination oracle and the tests work on; no closed form uses them.
@@ -16,10 +26,12 @@ node_i ** j, and coefficient index i is the degree-i coefficient.
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
+from operator import mul
 
-from .field import exact_div
 from .poly import Polynomial
-from .symfuncs import NodeSet, compute_sigma, deflate_all
+from .symfuncs import NodeSet, compute_sigma, deflate_all, integer_lift
 
 __all__ = [
     "DenseMatrix",
@@ -114,13 +126,21 @@ def build_matrix(nodes: NodeSet, n: int) -> DenseMatrix:
 
 
 def determinant(nodes: NodeSet):
-    """prod over j < i of (a_i - a_j); nonzero because nodes are distinct."""
-    seq = list(nodes)
+    """prod over j < i of (a_i - a_j); nonzero because nodes are distinct.
+
+    Exact nodes multiply the lifted int differences and divide once by
+    L^(p(p-1)/2).
+    """
+    lifted = integer_lift(nodes)
+    seq = list(nodes if lifted is None else lifted[1])
     det = 1
     for i in range(len(seq)):
         for j in range(i):
             det = det * (seq[i] - seq[j])
-    return det
+    if lifted is None:
+        return det
+    p = len(seq)
+    return Fraction(det, lifted[0] ** (p * (p - 1) // 2))
 
 
 def _numerator_coeff(deflated_row, n: int, i: int):
@@ -147,15 +167,23 @@ def inverse(nodes: NodeSet) -> DenseMatrix:
     """Closed-form inverse of the square matrix on these nodes.
 
     Columns are independent (each one needs only its own deflated row and
-    denominator), so they could be computed in parallel.
+    denominator), so they could be computed in parallel.  Exact nodes give
+    entry (i, j) = L^i * numerator / D_j over the lifted nodes, one
+    Fraction each.
     """
     n = len(nodes)
-    table = deflate_all(compute_sigma(nodes))
+    lifted = integer_lift(nodes)
+    work = nodes if lifted is None else lifted[1]
+    table = deflate_all(compute_sigma(work))
+    powers = None if lifted is None else [lifted[0] ** i for i in range(n)]
     columns = []
     for j in range(n):
-        d = _column_denominator(nodes, j)
-        row_j = table.deflated[j]
-        columns.append([exact_div(_numerator_coeff(row_j, n, i), d) for i in range(n)])
+        d = _column_denominator(work, j)
+        numerators = [_numerator_coeff(table.deflated[j], n, i) for i in range(n)]
+        if powers is None:
+            columns.append([c / d for c in numerators])
+        else:
+            columns.append([Fraction(s * c, d) for s, c in zip(powers, numerators)])
     entries = tuple(columns[j][i] for i in range(n) for j in range(n))
     return DenseMatrix(n, n, entries)
 
@@ -164,16 +192,19 @@ def solve_square(nodes: NodeSet, q) -> list:
     """The unique w with V(nodes) @ w = q, from one deflation pass.
 
     Quadratic cost overall: the sigma pass, p deflation rows, one
-    denominator per column reused across every output coefficient, and a
-    final grid-vector sum.  No elimination anywhere.
+    denominator per column, and a final grid-vector sum.  No elimination
+    anywhere.
     """
     n = len(nodes)
     if len(q) != n:
         raise DimensionMismatchError(f"{n} nodes but {len(q)} values")
-    table = deflate_all(compute_sigma(nodes))
-    scaled = []
-    for j in range(n):
-        scaled.append(exact_div(q[j], _column_denominator(nodes, j)))
+    lifted = integer_lift(nodes, q)
+    work = nodes if lifted is None else lifted[1]
+    table = deflate_all(compute_sigma(work))
+    denominators = [_column_denominator(work, j) for j in range(n)]
+    if lifted is not None:
+        return _combine_lifted(lifted[0], table.deflated, denominators, q)
+    scaled = [q_j / d for q_j, d in zip(q, denominators)]
     w = []
     for i in range(n):
         t = n - 1 - i
@@ -181,6 +212,28 @@ def solve_square(nodes: NodeSet, q) -> list:
         for j in range(n):
             s = s + table.deflated[j][t] * scaled[j]
         w.append(s if t % 2 == 0 else -s)
+    return w
+
+
+def _combine_lifted(scale: int, deflated, denominators, q) -> list:
+    """The combine step over int nodes b = scale * a, returning w for the nodes a.
+
+    q_j / D_j = c_j / (M * G) with M the common denominator of the values
+    and G = lcm(D_j), so w'_i is an integer dot product over M * G and
+    w_i = scale^i * w'_i.
+    """
+    g = lcm(*denominators)
+    m = lcm(*(x.denominator for x in q))
+    weights = [x.numerator * (m // x.denominator) * (g // d) for x, d in zip(q, denominators)]
+    columns = list(zip(*deflated))  # columns[t][j] = deflated[j][t]
+    n = len(columns)
+    w = []
+    power = 1
+    for i in range(n):
+        t = n - 1 - i
+        s = sum(map(mul, columns[t], weights))
+        w.append(Fraction(power * s if t % 2 == 0 else -power * s, m * g))
+        power *= scale
     return w
 
 

@@ -8,12 +8,14 @@ import hypothesis.strategies as st
 from vandersolve.symfuncs import NodeSet
 
 small_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=8)
+# Exact scalars as callers pass them: Fractions, plain ints, or both in one list.
+exact_scalars = st.one_of(small_fractions, st.integers(min_value=-8, max_value=8))
 
 
-def node_sets(min_size: int = 1, max_size: int = 8):
+def node_sets(min_size: int = 1, max_size: int = 8, elements=small_fractions):
     """Strategy for NodeSets of small, pairwise-distinct rationals."""
     return st.lists(
-        small_fractions, min_size=min_size, max_size=max_size, unique=True,
+        elements, min_size=min_size, max_size=max_size, unique=True,
     ).map(lambda xs: NodeSet(tuple(xs)))
 
 

@@ -274,10 +274,23 @@ def test_verify_happy_paths(capsys):
         ("sigma", "--nodes", "1,2,3", "--deflated", "--verify"),
         ("kernel", "--nodes", "2", "--n", "3", "--verify"),
         ("kernel", "--nodes", "1,-2,3/2", "--n", "6", "--verify"),
+        # float residuals near 1e-10 against Horner terms near 1e8
+        ("kernel", "--float", "--nodes", "0.1,0.7,33.3,100.9", "--n", "6", "--verify"),
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, err
         assert json.loads(out)["verified"] is True
+
+
+def test_float_verify_still_reports_lost_accuracy(capsys):
+    # relative residual 1.5e-8 on nodes 1..12: the deflation subtraction cancels
+    nodes = ",".join(str(i) for i in range(1, 13))
+    values = ",".join(str(i + 1) for i in range(1, 13))
+    code, out, err = run_cli(capsys, "solve", "--float", "--verify", "--nodes", nodes,
+                             "--values", values)
+    assert code == 4
+    assert out == ""
+    assert "particular solution misses its value" in err
 
 
 def _bump_first(coeffs) -> tuple:

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 from vandersolve.poly import Polynomial, first_miss
+from vandersolve.symfuncs import NodeSet, poly_from_roots
 
 
 def test_trailing_zeros_trimmed():
@@ -45,3 +46,8 @@ def test_first_miss_tolerates_float_rounding_only():
     p = Polynomial((0.1, 0.2))
     assert first_miss(p, [1.0], [0.30000000000000004 + 1e-15]) is None
     assert first_miss(p, [1.0], [0.31]) is not None
+    # terms near 1e8 cancel at the roots: the tolerance scales with them
+    roots = (0.1, 0.7, 33.3, 100.9)
+    head = poly_from_roots(NodeSet(roots))
+    assert first_miss(head, roots, [0] * 4) is None
+    assert first_miss(head, roots, [0, 0, 1, 0])[0] == 2

@@ -1,16 +1,17 @@
 """Square systems: closed-form determinant, inverse, solve, interpolation."""
 
+import random
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from helpers import node_sets, small_fractions
+from helpers import exact_scalars, node_sets, random_node_set, random_values, small_fractions
 from vandersolve.field import OpCounter, counting
-from vandersolve.oracle import cofactor_determinant, gaussian_solve
+from vandersolve.oracle import cofactor_determinant, gaussian_solve, sigma_bruteforce
 from vandersolve.poly import Polynomial
-from vandersolve.symfuncs import NodeSet, compute_sigma, deflate_all
+from vandersolve.symfuncs import NodeSet, compute_sigma, deflate_all, poly_from_roots
 from vandersolve.vandermonde import (
     DenseMatrix,
     DimensionMismatchError,
@@ -82,10 +83,12 @@ def test_determinant_examples():
     assert determinant(make_nodes(0, 1, 2)) == 2
 
 
-@given(node_sets(max_size=5))
+@given(node_sets(max_size=5, elements=exact_scalars))
 def test_determinant_matches_cofactor_expansion(ns):
     matrix = build_matrix(ns, len(ns))
-    assert determinant(ns) == cofactor_determinant(matrix)
+    det = determinant(ns)
+    assert det == cofactor_determinant(matrix)
+    assert isinstance(det, Fraction)
 
 
 @given(node_sets(max_size=6))
@@ -177,10 +180,12 @@ def test_solve_satisfies_the_system(ns, data):
     assert build_matrix(ns, len(ns)).mat_vec(w) == q
 
 
-@given(node_sets(max_size=6), st.data())
+@given(node_sets(max_size=6, elements=exact_scalars), st.data())
 def test_solve_matches_elimination_oracle(ns, data):
-    q = data.draw(st.lists(small_fractions, min_size=len(ns), max_size=len(ns)))
-    assert solve_square(ns, q) == gaussian_solve(build_matrix(ns, len(ns)), q)
+    q = data.draw(st.lists(exact_scalars, min_size=len(ns), max_size=len(ns)))
+    w = solve_square(ns, q)
+    assert w == gaussian_solve(build_matrix(ns, len(ns)), q)
+    assert all(isinstance(x, Fraction) for x in w)
 
 
 # --- interpolate -----------------------------------------------------------------
@@ -207,6 +212,58 @@ def test_interpolant_passes_through_the_points(ns, data):
     assert p.degree <= len(ns) - 1
     for a, qv in zip(ns, q):
         assert p.evaluate(a) == qv
+
+
+# --- integer core -------------------------------------------------------------------
+
+
+def _exact_cases():
+    rng = random.Random(505)
+    rational = random_node_set(rng, 12)
+    return {
+        "p1-int": ((7,), (-3,)),
+        "p1-fraction": ((F(-2, 3),), (F(5, 4),)),
+        "rational": (rational.nodes, tuple(random_values(rng, 12))),
+        "integer-grid": (tuple(F(k) for k in range(-4, 8)), tuple(random_values(rng, 12))),
+        "plain-ints": ((0, -1, 4, 2, -7, 9), (3, 0, -2, 5, 1, -4)),
+        "mixed": ((0, F(1, 2), -3, F(-7, 5), 4, F(2, 9)), (F(1, 3), 2, 0, -1, F(-5, 2), 6)),
+    }
+
+
+def _generic(fn, *args):
+    """fn on the same values as CountingNumber-wrapped Fractions: the generic path."""
+    ops = OpCounter()
+    out = fn(*(counting([F(x) for x in a], ops) for a in args))
+    return [getattr(x, "value", x) for x in out]
+
+
+@pytest.mark.parametrize("case", sorted(_exact_cases()))
+def test_integer_core_matches_oracles_and_generic_path(case):
+    nodes, q = _exact_cases()[case]
+    ns, p = NodeSet(nodes), len(nodes)
+    matrix = build_matrix(ns, p)
+
+    w = solve_square(ns, list(q))
+    assert w == gaussian_solve(matrix, list(q))
+    assert w == _generic(lambda a, b: solve_square(NodeSet(a), b), nodes, q)
+    assert interpolate(ns, list(q)) == Polynomial(tuple(w))
+
+    inv = inverse(ns)
+    for j in range(p):
+        unit = [F(int(i == j)) for i in range(p)]
+        assert list(inv.column(j)) == gaussian_solve(matrix, unit)
+    assert list(inv.entries) == _generic(lambda a: inverse(NodeSet(a)).entries, nodes)
+
+    det = determinant(ns)
+    assert [det] == _generic(lambda a: [determinant(NodeSet(a))], nodes)
+    if p <= 6:
+        assert det == cofactor_determinant(matrix)
+
+    roots = poly_from_roots(ns).coeffs
+    assert roots == tuple((-1) ** (p - i) * sigma_bruteforce(nodes, p - i) for i in range(p + 1))
+
+    for x in w + list(inv.entries) + [det] + list(roots):
+        assert isinstance(x, Fraction)
 
 
 # --- cost -------------------------------------------------------------------------
