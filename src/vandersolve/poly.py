@@ -1,5 +1,6 @@
 """Dense polynomials as ascending coefficient vectors."""
 
+import math
 from dataclasses import dataclass
 
 REL_TOL = 1e-9  # float residuals, relative to the Horner magnitude
@@ -48,13 +49,15 @@ def first_miss(poly: Polynomial, nodes, values, start: int = 0):
     differs from values[i].  Exact comparison for rationals.  With floats
     the residual may be REL_TOL times the Horner magnitude
     sum |c_k| * |x|^k, which bounds the rounding error of the evaluation
-    whatever the size of its terms.  One Horner evaluation per node.
+    whatever the size of its terms; a NaN or overflowed residual, or an
+    overflowed magnitude, is a miss.  One Horner evaluation per node.
     """
     for i in range(start, len(nodes)):
         x, want = nodes[i], values[i]
         lhs = poly.evaluate(x)
         if isinstance(lhs, float) or isinstance(want, float):
-            if abs(lhs - want) > REL_TOL * _magnitude(poly.coeffs, abs(x)):
+            tol = REL_TOL * _magnitude(poly.coeffs, abs(x))
+            if not abs(lhs - want) <= tol < math.inf:
                 return i, lhs
         elif lhs != want:
             return i, lhs

@@ -16,7 +16,8 @@ V(a) w = q is w_i = L^i w'_i with V(b) w' = q.  The solve puts the values
 over one common denominator and the weights over G = lcm(D_j), so each
 output coefficient is one integer dot product.  Every other scalar type
 (floats, `CountingNumber`) runs the same passes generically on its own
-operators; the op-count tests pin that path.
+operators; the op-count tests pin that path.  The determinant is the
+plain product on every scalar type.
 
 `DenseMatrix` and `build_matrix` give the explicit matrix that the
 elimination oracle and the tests work on; no closed form uses them.
@@ -126,21 +127,13 @@ def build_matrix(nodes: NodeSet, n: int) -> DenseMatrix:
 
 
 def determinant(nodes: NodeSet):
-    """prod over j < i of (a_i - a_j); nonzero because nodes are distinct.
-
-    Exact nodes multiply the lifted int differences and divide once by
-    L^(p(p-1)/2).
-    """
-    lifted = integer_lift(nodes)
-    seq = list(nodes if lifted is None else lifted[1])
+    """prod over j < i of (a_i - a_j); nonzero because nodes are distinct."""
+    seq = list(nodes)
     det = 1
     for i in range(len(seq)):
         for j in range(i):
             det = det * (seq[i] - seq[j])
-    if lifted is None:
-        return det
-    p = len(seq)
-    return Fraction(det, lifted[0] ** (p * (p - 1) // 2))
+    return det
 
 
 def _numerator_coeff(deflated_row, n: int, i: int):

@@ -158,6 +158,15 @@ def test_nonfinite_float_result_is_exit_two(capsys):
     assert "not finite" in err
 
 
+def test_overflowed_float_residual_is_not_consistent(capsys):
+    # the particular solution overflows at the extra node 1e300
+    code, out, err = run_cli(capsys, "solve", "--float", "--nodes", "0,1,1e300",
+                             "--values", "0,1e10,5", "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert "not finite" in err
+
+
 # --- file inputs and outputs ------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 from vandersolve.poly import Polynomial, first_miss
@@ -51,3 +52,7 @@ def test_first_miss_tolerates_float_rounding_only():
     head = poly_from_roots(NodeSet(roots))
     assert first_miss(head, roots, [0] * 4) is None
     assert first_miss(head, roots, [0, 0, 1, 0])[0] == 2
+    # an overflowed or NaN residual is a miss, never a pass
+    assert first_miss(Polynomial((0.0, 1e10)), [1e300], [5.0]) == (0, math.inf)
+    assert first_miss(Polynomial((1e308, 1e308)), [-1.0], [0.0]) is not None
+    assert first_miss(Polynomial((math.nan,)), [1.0], [0.0]) is not None
