@@ -7,6 +7,13 @@ operation multiset (the tests assert bit-equality with per-element
 instrumentation of the pure-Python paths); the kernels here run vectorized
 so the largest sizes stay affordable.
 
+The closed form streams: it keeps one deflation column at a time and a
+running product for the column denominators, so it needs O(p) memory
+(Bjorck & Pereyra, Math. Comp. 24, 1970, do O(p^2) work in O(p) memory
+too).  Elimination runs in panels of PANEL columns and applies each
+panel to the trailing block with one matrix product; it forms the same
+products as unblocked elimination, so its counts are unchanged.
+
 At benchmark sizes the float values themselves overflow to inf/NaN: the
 deflation subtraction cancels catastrophically and sigma values grow
 binomially.  That is expected; every mathematical guarantee lives in the
@@ -22,6 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .field import OpCounter
+
+PANEL = 32  # columns per elimination panel
 
 
 @dataclass(frozen=True)
@@ -75,34 +84,47 @@ def sigma_floats(nodes: np.ndarray, ops: OpCounter) -> np.ndarray:
     return s
 
 
-def deflate_all_floats(nodes: np.ndarray, sigma: np.ndarray, ops: OpCounter) -> np.ndarray:
-    """All p deflation rows at once, filled column by column."""
+def deflation_columns(nodes: np.ndarray, sigma: np.ndarray, ops: OpCounter):
+    """Yield the deflation columns t = 0..p-1 in order, each a fresh array.
+
+    Column t holds codegree t of every deflated row: col_0 = 1 and
+    col_t = sigma_t - a * col_(t-1), so only one column is live at a time.
+    Overflow warnings follow the caller's numpy error state.
+    """
     p = len(nodes)
-    grid = np.zeros((p, p))
-    grid[:, 0] = 1.0
-    with np.errstate(all="ignore"):
-        for t in range(1, p):
-            grid[:, t] = sigma[t] - nodes * grid[:, t - 1]
-            ops.muls += p
-            ops.subs += p
-    return grid
+    col = np.ones(p)
+    yield col
+    for t in range(1, p):
+        col = nodes * col
+        np.subtract(sigma[t], col, out=col)
+        ops.muls += p
+        ops.subs += p
+        yield col
 
 
 def solve_square_floats(nodes: np.ndarray, values: np.ndarray, ops: OpCounter) -> np.ndarray:
-    """Closed-form quadratic solve, float lane."""
+    """Closed-form quadratic solve, float lane, in O(p) memory.
+
+    The column denominators prod_(k != j) (a_j - a_k) are built as a running
+    product over k, then each deflation column is dotted with the scaled
+    right-hand side as it is produced.
+    """
     n = len(nodes)
     sigma = sigma_floats(nodes, ops)
-    grid = deflate_all_floats(nodes, sigma, ops)
+    w = np.empty(n)
     with np.errstate(all="ignore"):
-        diffs = nodes[:, None] - nodes[None, :]
-        ops.subs += n * (n - 1)  # the j = k diagonal is not a field operation
-        np.fill_diagonal(diffs, 1.0)
-        denoms = diffs.prod(axis=1)
+        denoms = np.ones(n)
+        for k in range(n):
+            factor = nodes - nodes[k]
+            factor[k] = 1.0
+            denoms *= factor
+        ops.subs += n * (n - 1)  # the j = k factor is not a field operation
         ops.muls += n * (n - 1)
         scaled = values / denoms
         ops.divs += n
-        # w_i before signs is sum_j grid[j][n-1-i] * scaled_j
-        w = grid[:, ::-1].T @ scaled
+        # w_i before signs is sum_j deflated[j][n-1-i] * scaled_j
+        for t, col in enumerate(deflation_columns(nodes, sigma, ops)):
+            w[n - 1 - t] = col @ scaled
         ops.muls += n * n
         ops.adds += n * n
         w[n % 2::2] = -w[n % 2::2]  # positions where n-1-i is odd
@@ -121,7 +143,16 @@ def build_matrix_floats(nodes: np.ndarray, n: int) -> np.ndarray:
 
 
 def gaussian_solve_floats(matrix: np.ndarray, values: np.ndarray, ops: OpCounter) -> np.ndarray:
-    """Cubic elimination with magnitude pivoting.
+    """Cubic elimination with magnitude pivoting, blocked in panels of PANEL columns.
+
+    Right-looking LU with partial pivoting (Golub & Van Loan, section
+    3.2.11).  Inside a panel each step searches column k for the pivot,
+    swaps whole rows, updates b and the panel's own columns, and stores its
+    multipliers f below the diagonal.  After the panel a unit-lower solve
+    brings the panel's rows to the right of it up to date, and one matrix
+    product applies the panel to the trailing block.  Every product
+    l_ik * u_kj is still formed exactly once, so the per-step counts are
+    those of unblocked elimination.
 
     Counts follow the element-wise formulation; pivot search and row swaps
     are free, vectorized evaluation reassociates sums without changing the
@@ -132,20 +163,27 @@ def gaussian_solve_floats(matrix: np.ndarray, values: np.ndarray, ops: OpCounter
     n = a.shape[0]
     x = np.zeros(n)
     with np.errstate(all="ignore"):
-        for k in range(n):
-            pivot = k + int(np.argmax(np.abs(a[k:, k])))
-            if pivot != k:
-                a[[k, pivot]] = a[[pivot, k]]
-                b[[k, pivot]] = b[[pivot, k]]
-            f = a[k + 1:, k] / a[k, k]
-            ops.divs += n - 1 - k
-            a[k + 1:, k + 1:] -= f[:, None] * a[k, k + 1:]
-            ops.muls += (n - 1 - k) * (n - 1 - k)
-            ops.subs += (n - 1 - k) * (n - 1 - k)
-            b[k + 1:] -= f * b[k]
-            ops.muls += n - 1 - k
-            ops.subs += n - 1 - k
-            a[k + 1:, k] = 0.0
+        for k0 in range(0, n, PANEL):
+            k1 = min(k0 + PANEL, n)
+            for k in range(k0, k1):
+                pivot = k + int(np.argmax(np.abs(a[k:, k])))
+                if pivot != k:
+                    a[[k, pivot]] = a[[pivot, k]]
+                    b[[k, pivot]] = b[[pivot, k]]
+                f = a[k + 1:, k] / a[k, k]
+                ops.divs += n - 1 - k
+                a[k + 1:, k + 1:k1] -= f[:, None] * a[k, k + 1:k1]
+                ops.muls += (n - 1 - k) * (n - 1 - k)
+                ops.subs += (n - 1 - k) * (n - 1 - k)
+                b[k + 1:] -= f * b[k]
+                ops.muls += n - 1 - k
+                ops.subs += n - 1 - k
+                a[k + 1:, k] = f
+            # The columns right of the panel were left alone until every
+            # swap of the panel was known; their share of the counts is above.
+            for k in range(k0, k1 - 1):
+                a[k + 1:k1, k1:] -= a[k + 1:k1, k, None] * a[k, k1:]
+            a[k1:, k1:] -= a[k1:, k0:k1] @ a[k0:k1, k1:]
         for i in range(n - 1, -1, -1):
             s = b[i] - a[i, i + 1:] @ x[i + 1:]
             ops.muls += n - 1 - i

@@ -5,11 +5,12 @@ files); results leave as compact JSON on stdout with stable key order, or
 as an aligned table with --pretty.  Exact arithmetic is the default and
 --float opts into the benchmark-grade lane.
 
-Exit codes: 0 success, 1 parse error, missing input or unwritable --out,
-2 invalid problem (duplicate nodes, dimension mismatch, n < 1, a float
-result that is not finite), 3 inconsistent overdetermined system, 4
---verify mismatch.  In the exact lane exit 4 would mean a bug; with
---float it also reports rounding error beyond the comparison tolerance.
+Exit codes: 0 success, 1 usage or parse error, missing input or
+unwritable --out, 2 invalid problem (duplicate nodes, dimension
+mismatch, n < 1, a float result that is not finite), 3 inconsistent
+overdetermined system, 4 --verify mismatch.  In the exact lane exit 4
+would mean a bug; with --float it also reports rounding error beyond the
+comparison tolerance.
 """
 
 import argparse
@@ -51,6 +52,14 @@ class CliError(Exception):
     def __init__(self, message: str, code: int):
         super().__init__(message)
         self.code = code
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 1 (parse error); argparse's own 2 means an invalid problem here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise CliError(message, EXIT_PARSE)
 
 
 @dataclass
@@ -405,7 +414,7 @@ def _emit(payload: dict, args) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="vandersolve",
         description="Closed-form Vandermonde solving: interpolation, "
                     "system solving, kernel bases and symmetric coefficients.")
@@ -473,8 +482,8 @@ def _dispatch(args) -> tuple:
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         payload, code = _dispatch(args)
         _emit(payload, args)
     except CliError as err:

@@ -2,6 +2,7 @@
 operation counters match per-element instrumentation bit for bit."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -36,7 +37,8 @@ def test_sigma_kernel_matches_exact_path(p):
 def test_deflation_kernel_matches_exact_path(p):
     ops = OpCounter()
     nodes = bench.bench_nodes(p)
-    grid = bench.deflate_all_floats(nodes, bench.sigma_floats(nodes, ops), ops)
+    sigma = bench.sigma_floats(nodes, ops)
+    grid = np.column_stack(list(bench.deflation_columns(nodes, sigma, ops)))
     table = deflate_all(compute_sigma(exact_nodes(p)))
     want = [[float(x) for x in row] for row in table.deflated]
     assert np.allclose(grid, want, rtol=1e-9)
@@ -51,6 +53,27 @@ def test_float_solve_matches_exact_solve(n):
 
 
 @pytest.mark.parametrize("n", SIZES)
+def test_float_solve_matches_exact_solve_on_curved_values(n):
+    # bench_values is linear in the nodes; 1/(1+a) has no vanishing divided differences
+    floats, nodes = bench.bench_nodes(n), exact_nodes(n)
+    got = bench.solve_square_floats(floats, 1.0 / (1.0 + floats), OpCounter())
+    want = [float(x) for x in solve_square(nodes, [1 / (1 + a) for a in nodes])]
+    np.testing.assert_allclose(got, want, rtol=1e-8)
+
+
+def test_closed_form_runs_in_linear_memory():
+    p = 2048  # a p x p float grid alone would take 32 MB
+    nodes, values = bench.bench_nodes(p), bench.bench_values(p)
+    tracemalloc.start()
+    try:
+        bench.solve_square_floats(nodes, values, OpCounter())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("n", SIZES)
 def test_gaussian_kernel_matches_oracle(n):
     nodes = bench.bench_nodes(n)
     vals = bench.bench_values(n)
@@ -59,6 +82,31 @@ def test_gaussian_kernel_matches_oracle(n):
     want = oracle.gaussian_solve(
         DenseMatrix(n, n, tuple(matrix.flatten().tolist())), vals.tolist())
     assert np.allclose(got, want, rtol=1e-8)
+
+
+def random_system(p):
+    rng = np.random.default_rng(p)
+    return rng.standard_normal((p, p)), rng.standard_normal(p)
+
+
+@pytest.mark.parametrize("p", [31, 32, 33, 65, 100])
+def test_gaussian_kernel_across_panels(p):
+    # random normal rows: beyond one panel, some pivots come from below the current panel
+    matrix, vals = random_system(p)
+    got = bench.gaussian_solve_floats(matrix, vals, OpCounter())
+    np.testing.assert_allclose(got, np.linalg.solve(matrix, vals), rtol=1e-9)
+
+
+@pytest.mark.parametrize("p", [33, 65])
+def test_gaussian_bulk_counts_across_panels(p):
+    matrix, vals = random_system(p)
+    bulk = OpCounter()
+    bench.gaussian_solve_floats(matrix, vals, bulk)
+
+    inst = OpCounter()
+    wrapped = DenseMatrix(p, p, tuple(counting(matrix.flatten().tolist(), inst)))
+    oracle.gaussian_solve(wrapped, counting(vals.tolist(), inst))
+    assert bulk == inst
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -105,6 +105,26 @@ def test_parse_error_is_exit_one(capsys):
     assert "cannot parse" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("solve", "--nodes", "1,2", "--values", "1,2", "--n", "x"),  # non-integer --n
+    ("bench", "--reps", "x"),                                     # non-integer --reps
+    ("interpolate", "--nodes", "1,2", "--values", "1,2", "--bogus"),  # unknown flag
+])
+def test_usage_error_is_exit_one(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("usage: vandersolve")
+    assert "error: " in err
+
+
+def test_help_is_exit_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: vandersolve solve")
+
+
 def test_duplicate_node_is_exit_two_and_named(capsys):
     code, _, err = run_cli(capsys, "interpolate", "--nodes", "1,1", "--values", "1,2")
     assert code == 2
