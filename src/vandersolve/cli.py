@@ -15,6 +15,7 @@ comparison tolerance.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -314,6 +315,10 @@ def cmd_kernel(problem: ProblemInput, verify: bool = False) -> tuple:
     if problem.n is None:
         raise CliError("kernel needs the ambient dimension --n", EXIT_PARSE)
     n = _dimension(problem.n)
+    if len(nodes) > n:
+        raise CliError(
+            f"matrix with {len(nodes)} rows and {n} columns has a trivial kernel; "
+            'use "vandersolve solve" instead', EXIT_INVALID)
     basis = kernel_basis(nodes, n)
     payload = {
         "dimension": basis.dimension,
@@ -413,7 +418,9 @@ def _emit(payload: dict, args) -> None:
         raise CliError(f"cannot write {out}: {exc}", EXIT_PARSE) from exc
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing never changes it."""
     parser = _ArgumentParser(
         prog="vandersolve",
         description="Closed-form Vandermonde solving: interpolation, "

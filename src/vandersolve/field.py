@@ -4,12 +4,16 @@ The exact lane works on `fractions.Fraction` values: arbitrary-precision,
 always in lowest terms with a positive denominator, so overflow is
 impossible and equality is decidable.  The closed forms take ints and
 Fractions alike, lift them to Python ints (`symfuncs.integer_lift`) and
-build one Fraction per output.  The elimination oracle works on the
-scalars themselves, with plain ints as the identities 0 and 1; its
-`exact_div` keeps a quotient of two ints rational.  The float lane uses
-machine doubles; the CLI's cross-checks against the oracles go through
-`values_equal`, which falls back to a tolerance comparison, and residuals
-through `poly.first_miss`.
+build one Fraction per output.  The elimination oracle takes the same
+scalars by a path of its own: it scales each augmented row to primitive
+ints, eliminates fraction-free and builds one Fraction per output.  Every
+other scalar type (floats, `CountingNumber`) runs the generic
+elimination, with plain ints as the identities 0 and 1; `exact_div`
+keeps a quotient of two ints rational there.  `Polynomial.evaluate` also
+runs Horner's scheme in ints when the scalars are exact.  The float lane
+uses machine doubles; the CLI's cross-checks against the oracles go
+through `values_equal`, which falls back to a tolerance comparison, and
+residuals through `poly.first_miss`.
 
 `CountingNumber` wraps a scalar and tallies every arithmetic operation into
 a shared `OpCounter`.  It exists for complexity diagnostics only and never

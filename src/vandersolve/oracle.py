@@ -5,10 +5,25 @@ closed-form solvers: subset enumeration for the symmetric coefficients,
 Gaussian elimination with first-nonzero pivoting for solve and rank, and
 Laplace expansion for determinants.  Used by the tests and the CLI's
 --verify mode only.
+
+`gaussian_solve` has two paths, chosen by scalar type only.  When every
+entry of the matrix and the right-hand side is an int or a Fraction it
+eliminates fraction-free: each augmented row is scaled to primitive
+integers (no common factor), a row update is
+(a_kk/g) * row_r - (a_rk/g) * row_k with g = gcd(a_kk, a_rk), made
+primitive again, and back substitution keeps every unknown over one
+common denominator until one Fraction per output.  Only this path skips a
+row whose multiplier a_rk is zero.  Every other scalar type (floats,
+`CountingNumber`) runs the generic elimination, which does every update,
+so its operation count depends only on the matrix size; the bench's op
+counts are defined by that path.  Both paths meet the same pivots, since
+the integer rows are nonzero multiples of the generic ones, and raise the
+same `SingularMatrixError`.
 """
 
 import math
-from itertools import combinations
+from fractions import Fraction
+from itertools import chain, combinations
 
 from .field import exact_div
 from .vandermonde import DenseMatrix, build_matrix
@@ -21,14 +36,17 @@ class SingularMatrixError(ArithmeticError):
 def gaussian_solve(m: DenseMatrix, q) -> list:
     """Exact Gaussian elimination with first-nonzero pivoting.
 
-    No zero-factor skipping and no pivot-size heuristics, so the operation
-    count depends only on the matrix size.
+    Ints and Fractions take the fraction-free path (`_integer_solve`).
+    Otherwise there is no zero-factor skipping and no pivot-size
+    heuristic, so the operation count depends only on the matrix size.
     """
     if m.rows != m.cols:
         raise ValueError("matrix must be square")
     n = m.rows
     if len(q) != n:
         raise ValueError(f"{n} equations but {len(q)} values")
+    if all(isinstance(x, (int, Fraction)) for x in chain(m.entries, q)):
+        return _integer_solve(m, q)
     a = m.to_rows()
     b = list(q)
     for k in range(n):
@@ -51,6 +69,57 @@ def gaussian_solve(m: DenseMatrix, q) -> list:
             s = s - a[i][c] * x[c]
         x[i] = exact_div(s, a[i][i])
     return x
+
+
+def _primitive(row: list) -> list:
+    """The int row divided by the gcd of its entries (unchanged if all zero)."""
+    g = math.gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
+
+
+def _integer_solve(m: DenseMatrix, q) -> list:
+    """gaussian_solve on primitive integer rows; one Fraction per output."""
+    n = m.rows
+    rows = []
+    for i in range(n):
+        row = list(m.row(i)) + [q[i]]
+        scale = math.lcm(*(x.denominator for x in row))
+        rows.append(_primitive([x.numerator * (scale // x.denominator) for x in row]))
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if rows[r][k] != 0), None)
+        if pivot is None:
+            raise SingularMatrixError(f"no pivot available in column {k}")
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+        top = rows[k]
+        head = top[k]
+        tail = top[k + 1:]
+        for r in range(k + 1, n):
+            row = rows[r]
+            lead = row[k]
+            if lead == 0:
+                continue
+            g = math.gcd(head, lead)
+            u, v = head // g, lead // g
+            rows[r] = _primitive([0] * (k + 1) + [u * x - v * y
+                                                  for x, y in zip(row[k + 1:], tail)])
+    # x_c = num[c] / den for c > i; solving row i multiplies den by its pivot.
+    num = [0] * n
+    den = 1
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        s = row[n] * den - sum(row[c] * num[c] for c in range(i + 1, n))
+        pivot = row[i]
+        for c in range(i + 1, n):
+            num[c] *= pivot
+        num[i] = s
+        den *= pivot
+        g = math.gcd(den, *num[i:])
+        if g > 1:
+            den //= g
+            for c in range(i, n):
+                num[c] //= g
+    return [Fraction(x, den) for x in num]
 
 
 def solve_by_elimination(nodes, q) -> list:

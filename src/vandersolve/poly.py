@@ -1,7 +1,16 @@
-"""Dense polynomials as ascending coefficient vectors."""
+"""Dense polynomials as ascending coefficient vectors.
+
+`Polynomial.evaluate` runs Horner's scheme on the scalars' own operators,
+except when every coefficient and x is an int or a Fraction: then it
+evaluates in ints, with the coefficients over their common denominator
+(cached per polynomial) and x = a/b homogenised, and builds one Fraction
+at the end.  Floats and `CountingNumber` take the generic loop.
+"""
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import cached_property
 
 REL_TOL = 1e-9  # float residuals, relative to the Horner magnitude
 
@@ -31,12 +40,44 @@ class Polynomial:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
+    @cached_property
+    def _integer_form(self) -> tuple | None:
+        """(D, N, ints) when every coefficient is an int or a Fraction, else None.
+
+        D is the lcm of the coefficient denominators, N the numerators over
+        D, and ints tells whether every coefficient is an int.
+        """
+        if not all(isinstance(c, (int, Fraction)) for c in self.coeffs):
+            return None
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        nums = tuple(c.numerator * (den // c.denominator) for c in self.coeffs)
+        return den, nums, all(isinstance(c, int) for c in self.coeffs)
+
     def evaluate(self, x):
-        """Horner-scheme value at x."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Horner-scheme value at x.
+
+        When the coefficients and x = a/b are ints or Fractions, the sum
+        of N_k a^k b^(d-k) by homogeneous Horner in ints, over D b^d: one
+        Fraction per call, or an int where the generic loop gives one.
+        """
+        lifted = self._integer_form if isinstance(x, (int, Fraction)) else None
+        if lifted is None:
+            acc = 0
+            for c in reversed(self.coeffs):
+                acc = acc * x + c
+            return acc
+        den, nums, ints = lifted
+        if not nums:
+            return 0
+        a, b = x.numerator, x.denominator
+        acc = nums[-1]
+        scale = 1  # b^(d-k)
+        for c in reversed(nums[:-1]):
+            scale *= b
+            acc = acc * a + c * scale
+        if ints and isinstance(x, int):
+            return acc
+        return Fraction(acc, den * scale)
 
     def __call__(self, x):
         return self.evaluate(x)

@@ -1,8 +1,12 @@
 """CLI contract: frozen JSON payloads, exit codes, file inputs and outputs."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -125,6 +129,29 @@ def test_help_is_exit_zero(capsys):
     assert capsys.readouterr().out.startswith("usage: vandersolve solve")
 
 
+def test_reused_parser_matches_fresh_processes(capsys, monkeypatch):
+    """One parser serves every main() call in a process; no call sees an earlier one."""
+    monkeypatch.setenv("COLUMNS", "80")  # same usage wrapping in and out of process
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+
+    def fresh(argv):
+        done = subprocess.run([sys.executable, "-m", "vandersolve", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+        return done.returncode, done.stdout, done.stderr
+
+    for argv in (
+        ("interpolate", "--nodes", "1,3/2,-2", "--values", "1,2,3", "--verify"),
+        ("solve", "--nodes", "1,2", "--values", "1,2", "--n", "x"),
+        ("kernel", "--nodes", "0,1/2", "--n", "4", "--verify"),
+    ):
+        assert run_cli(capsys, *argv) == fresh(argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["kernel", "--help"])
+    assert (exc.value.code, capsys.readouterr().out) == fresh(["kernel", "--help"])[:2]
+    assert exc.value.code == 0
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_duplicate_node_is_exit_two_and_named(capsys):
     code, _, err = run_cli(capsys, "interpolate", "--nodes", "1,1", "--values", "1,2")
     assert code == 2
@@ -158,7 +185,7 @@ def test_kernel_without_n_is_exit_one(capsys):
 def test_kernel_with_p_above_n_is_exit_two(capsys):
     code, _, err = run_cli(capsys, "kernel", "--nodes", "1,2,3", "--n", "2")
     assert code == 2
-    assert "solve_overdetermined" in err
+    assert 'use "vandersolve solve"' in err
 
 
 @pytest.mark.parametrize("command", ["kernel", "solve"])

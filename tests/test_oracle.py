@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import random_fraction
+from helpers import random_fraction, random_node_set
+from vandersolve.field import OpCounter, counting
 from vandersolve.oracle import (
     SingularMatrixError,
     cofactor_determinant,
@@ -75,3 +76,59 @@ def test_cofactor_examples():
     assert cofactor_determinant(DenseMatrix.identity(4)) == 1
     nodes = NodeSet((F(0), F(1), F(2)))
     assert cofactor_determinant(build_matrix(nodes, 3)) == 2
+
+
+# --- the integer elimination path against the generic one -------------------------
+
+
+def _generic_solve(m, q):
+    """gaussian_solve's generic path: CountingNumber-wrapped Fractions, unwrapped."""
+    counter = OpCounter()
+    wrapped = DenseMatrix(m.rows, m.cols, counting([F(x) for x in m.entries], counter))
+    return [x.value for x in gaussian_solve(wrapped, counting([F(x) for x in q], counter))]
+
+
+def _elimination_cases():
+    rng = random.Random(11)
+    yield "p = 1", [[F(-3, 4)]], [F(5)]
+    yield "p = 1 int", [[-7]], [3]
+    # column 0 is zero above row 2 and column 1 above row 3: two row swaps
+    yield "row swaps", [[0, 0, 3, 1], [0, 0, 0, 2], [4, 1, 0, 0], [0, 5, 1, 1]], [1, 2, 3, 4]
+    yield "negative pivots", [[-3, 2, 1], [6, -5, 2], [-9, 4, -7]], [F(1, 2), -1, F(-7, 3)]
+    yield "all ints", [[rng.randint(-9, 9) for _ in range(6)] for _ in range(6)], \
+        [rng.randint(-9, 9) for _ in range(6)]
+    yield "mixed int and Fraction", \
+        [[random_fraction(rng) if (i + j) % 2 else rng.randint(-9, 9) for j in range(5)]
+         for i in range(5)], [rng.randint(-9, 9) if i % 2 else random_fraction(rng)
+                              for i in range(5)]
+    # zero multipliers (skipped on the integer path only) and negative pivots
+    yield "sparse rationals", \
+        [[0 if rng.random() < 0.4 else random_fraction(rng) for _ in range(7)]
+         for _ in range(7)], [random_fraction(rng) for _ in range(7)]
+    nodes = random_node_set(rng, 12)
+    yield "vandermonde", build_matrix(nodes, 12).to_rows(), [random_fraction(rng)
+                                                             for _ in range(12)]
+
+
+@pytest.mark.parametrize("rows,q", [pytest.param(rows, q, id=name)
+                                    for name, rows, q in _elimination_cases()])
+def test_integer_elimination_matches_generic_path(rows, q):
+    m = DenseMatrix.from_rows(rows)
+    x = gaussian_solve(m, q)
+    assert x == _generic_solve(m, q)
+    assert all(type(v) is F for v in x)
+    assert m.mat_vec(x) == list(q)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2, 3], [2, 4, 6], [1, 0, 1]],                   # no pivot in column 2
+    [[F(1, 2), F(1, 3)], [F(3, 2), 1]],                  # no pivot in column 1
+    [[0, 1], [0, F(-5, 7)]],                             # no pivot in column 0
+])
+def test_integer_elimination_reports_singular_matrix_like_generic(rows):
+    m = DenseMatrix.from_rows(rows)
+    q = [1] * m.rows
+    with pytest.raises(SingularMatrixError) as generic:
+        _generic_solve(m, q)
+    with pytest.raises(SingularMatrixError, match=str(generic.value)):
+        gaussian_solve(m, q)

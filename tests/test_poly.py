@@ -1,8 +1,13 @@
 import math
+import random
 from fractions import Fraction
 
+from helpers import random_fraction
+from vandersolve.field import CountingNumber, OpCounter
+from vandersolve.kernel import solve_overdetermined
 from vandersolve.poly import Polynomial, first_miss
 from vandersolve.symfuncs import NodeSet, poly_from_roots
+from vandersolve.vandermonde import solve_square
 
 
 def test_trailing_zeros_trimmed():
@@ -56,3 +61,44 @@ def test_first_miss_tolerates_float_rounding_only():
     assert first_miss(Polynomial((0.0, 1e10)), [1e300], [5.0]) == (0, math.inf)
     assert first_miss(Polynomial((1e308, 1e308)), [-1.0], [0.0]) is not None
     assert first_miss(Polynomial((math.nan,)), [1.0], [0.0]) is not None
+
+
+# --- integer Horner against the generic loop ------------------------------------------
+
+
+def _generic_evaluate(poly, x):
+    """The generic Horner loop (x wrapped in a CountingNumber), unwrapped."""
+    value = poly.evaluate(CountingNumber(x, OpCounter()))
+    return value.value if isinstance(value, CountingNumber) else value
+
+
+def test_integer_horner_matches_generic_value_and_type():
+    rng = random.Random(3)
+    points = [0, Fraction(0), 5, -4, Fraction(-7, 3), Fraction(9, 2), Fraction(1, 97),
+              random_fraction(rng), random_fraction(rng)]
+    polys = [Polynomial(()), Polynomial((4,)), Polynomial((Fraction(-2, 3),)),
+             Polynomial((2, -3, 1)), Polynomial((1, Fraction(1, 2), 0, -5))]
+    for degree in range(9):
+        polys.append(Polynomial(tuple(random_fraction(rng) for _ in range(degree + 1))))
+        polys.append(Polynomial(tuple(rng.randint(-9, 9) for _ in range(degree)) + (7,)))
+    for poly in polys:
+        for x in points:
+            got, want = poly.evaluate(x), _generic_evaluate(poly, x)
+            assert (got, type(got)) == (want, type(want)), (poly, x)
+
+
+def test_integer_horner_types():
+    assert type(Polynomial((2, -3, 1)).evaluate(4)) is int
+    assert type(Polynomial(()).evaluate(Fraction(1, 2))) is int
+    assert type(Polynomial((2, -3, 1)).evaluate(Fraction(4))) is Fraction
+    assert type(Polynomial((Fraction(2), 3)).evaluate(4)) is Fraction
+
+
+def test_first_miss_lhs_on_an_inconsistent_system():
+    nodes = NodeSet((Fraction(1, 2), Fraction(-3), Fraction(5, 3), Fraction(7, 2)))
+    q = [Fraction(1), Fraction(2, 3), Fraction(-1), Fraction(4)]
+    result = solve_overdetermined(nodes, q, 3)
+    assert (result.inconsistent_at, result.rhs) == (3, 4)
+    head = Polynomial(tuple(solve_square(NodeSet(nodes[:3]), q[:3])))
+    assert result.lhs == _generic_evaluate(head, nodes[3]) == Fraction(-615, 98)
+    assert type(result.lhs) is Fraction
