@@ -5,12 +5,19 @@ files); results leave as compact JSON on stdout with stable key order, or
 as an aligned table with --pretty.  Exact arithmetic is the default and
 --float opts into the benchmark-grade lane.
 
-Exit codes: 0 success, 1 usage or parse error, missing input or
-unwritable --out, 2 invalid problem (duplicate nodes, dimension
-mismatch, n < 1, a float result that is not finite), 3 inconsistent
-overdetermined system, 4 --verify mismatch.  In the exact lane exit 4
-would mean a bug; with --float it also reports rounding error beyond the
-comparison tolerance.
+--verify re-evaluates every solution at every node, proves a kernel
+basis independent by its echelon of trailing ones, cross-checks
+`interpolate` against exact Gaussian elimination, and checks `sigma` and
+its deflated rows by a quadratic certificate (the signed sigma row is a
+monic polynomial vanishing at every node, and each deflated row times
+x - a_i gives it back), with no limit on the node count.
+
+Exit codes: 0 success, 1 usage or parse error, missing input, unwritable
+--out or stdout closed early, 2 invalid problem (duplicate nodes,
+dimension mismatch, n < 1, a float result that is not finite), 3
+inconsistent overdetermined system, 4 --verify mismatch.  In the exact
+lane exit 4 would mean a bug; with --float it also reports rounding
+error beyond the comparison tolerance.
 """
 
 import argparse
@@ -18,6 +25,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -43,8 +51,6 @@ EXIT_PARSE = 1
 EXIT_INVALID = 2
 EXIT_INCONSISTENT = 3
 EXIT_VERIFY = 4
-
-MAX_VERIFY_NODES = 20  # subset enumeration beyond this is hopeless
 
 
 class CliError(Exception):
@@ -239,21 +245,33 @@ def _verify_interpolation(nodes, values, poly):
 
 
 def _verify_sigma(nodes, table, deflated):
-    if len(nodes) > MAX_VERIFY_NODES:
-        raise CliError(
-            f"--verify enumerates subsets and needs p <= {MAX_VERIFY_NODES}",
-            EXIT_INVALID)
-    for t in range(len(nodes) + 1):
-        if not values_equal(table.sigma[t], oracle.sigma_bruteforce(nodes, t)):
-            _verify_fail(f"sigma({t}) disagrees with subset enumeration")
-    if deflated is not None:
-        for i in range(len(nodes)):
-            rest = list(nodes)
-            del rest[i]
-            for t in range(len(nodes)):
-                want = oracle.sigma_bruteforce(rest, t)
-                if not values_equal(deflated[i][t], want):
-                    _verify_fail(f"deflated row {i} disagrees at codegree {t}")
+    """Quadratic certificate for sigma and every deflated row.
+
+    sigma has p + 1 entries, sigma(0) = 1, and
+    P(x) = sum_t (-1)^t sigma(t) x^(p-t) vanishes at the p distinct nodes,
+    so the monic P is prod(x - a_i).  Row i has p entries and
+    (x - a_i) * D_i(x) = P(x) coefficientwise, that is
+    sigma(t) = D_i(t) + a_i * D_i(t-1) with D_i(-1) = D_i(p) = 0; division
+    by x - a_i is unique, so that proves the row.
+    """
+    p = len(nodes)
+    sigma = table.sigma
+    if len(sigma) != p + 1 or sigma[0] != 1:
+        _verify_fail(f"sigma is not a monic row of {p + 1} entries")
+    signed = Polynomial(tuple(sigma[t] if t % 2 == 0 else -sigma[t]
+                              for t in range(p, -1, -1)))
+    _verify_residual(signed, nodes, [0] * p, "sigma polynomial")
+    if deflated is None:
+        return
+    if len(deflated) != p:
+        _verify_fail(f"{len(deflated)} deflated rows for {p} nodes")
+    for i, (a, row) in enumerate(zip(nodes, deflated)):
+        if len(row) != p:
+            _verify_fail(f"deflated row {i} has {len(row)} entries, not {p}")
+        padded = (0, *row, 0)
+        for t in range(p + 1):
+            if not values_equal(sigma[t], padded[t + 1] + a * padded[t]):
+                _verify_fail(f"deflated row {i} times (x - {a}) misses sigma({t})")
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +428,7 @@ def _emit(payload: dict, args) -> None:
     out = getattr(args, "out", None)
     if not out:
         print(text)
+        sys.stdout.flush()  # a closed pipe raises here, inside main, not at exit
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
@@ -435,7 +454,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--float", action="store_true",
                         help="machine doubles instead of exact rationals")
     common.add_argument("--verify", action="store_true",
-                        help="re-check the result against brute-force oracles")
+                        help="re-check the result: residuals at every node, "
+                             "certificates, an elimination cross-check")
     common.add_argument("--pretty", action="store_true", help="table output instead of JSON")
     common.add_argument("--out", help="write the output to a file instead of stdout")
 
@@ -493,6 +513,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         payload, code = _dispatch(args)
         _emit(payload, args)
+    except BrokenPipeError:
+        # The reader closed stdout early (`| head`).  Point stdout at devnull
+        # so the interpreter's flush at exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PARSE
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code

@@ -11,12 +11,13 @@ other scalar type (floats, `CountingNumber`) runs the generic
 elimination, with plain ints as the identities 0 and 1; `exact_div`
 keeps a quotient of two ints rational there.  `Polynomial.evaluate` also
 runs Horner's scheme in ints when the scalars are exact.  The float lane
-uses machine doubles; the CLI's cross-checks against the oracles go
-through `values_equal`, which falls back to a tolerance comparison, and
-residuals through `poly.first_miss`.
+uses machine doubles; the CLI's elimination cross-check and sigma
+certificate compare through `values_equal`, which falls back to a
+tolerance comparison, and residuals through `poly.first_miss`.
 
 `CountingNumber` wraps a scalar and tallies every arithmetic operation into
-a shared `OpCounter`.  It exists for complexity diagnostics only and never
+a shared `OpCounter`; it divides through `exact_div`, so wrapped ints
+stay rational.  It exists for complexity diagnostics only and never
 appears in public results.
 """
 
@@ -131,11 +132,11 @@ class CountingNumber:
 
     def __truediv__(self, other):
         self.counter.divs += 1
-        return CountingNumber(self.value / self._bare(other), self.counter)
+        return CountingNumber(exact_div(self.value, self._bare(other)), self.counter)
 
     def __rtruediv__(self, other):
         self.counter.divs += 1
-        return CountingNumber(self._bare(other) / self.value, self.counter)
+        return CountingNumber(exact_div(self._bare(other), self.value), self.counter)
 
     def __neg__(self):
         self.counter.negs += 1

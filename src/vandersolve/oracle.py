@@ -2,23 +2,24 @@
 
 Naive on purpose, exact over rationals, and sharing no code with the
 closed-form solvers: subset enumeration for the symmetric coefficients,
-Gaussian elimination with first-nonzero pivoting for solve and rank, and
-Laplace expansion for determinants.  Used by the tests and the CLI's
---verify mode only.
+Gaussian elimination for solve and rank, and Laplace expansion for
+determinants.  The tests use all of them; the CLI's --verify uses the
+elimination only, to cross-check `interpolate`.
 
 `gaussian_solve` has two paths, chosen by scalar type only.  When every
 entry of the matrix and the right-hand side is an int or a Fraction it
 eliminates fraction-free: each augmented row is scaled to primitive
-integers (no common factor), a row update is
-(a_kk/g) * row_r - (a_rk/g) * row_k with g = gcd(a_kk, a_rk), made
-primitive again, and back substitution keeps every unknown over one
-common denominator until one Fraction per output.  Only this path skips a
-row whose multiplier a_rk is zero.  Every other scalar type (floats,
-`CountingNumber`) runs the generic elimination, which does every update,
-so its operation count depends only on the matrix size; the bench's op
-counts are defined by that path.  Both paths meet the same pivots, since
-the integer rows are nonzero multiples of the generic ones, and raise the
-same `SingularMatrixError`.
+integers (no common factor), the pivot is the nonzero candidate of
+smallest magnitude, a row update is (a_kk/g) * row_r - (a_rk/g) * row_k
+with g = gcd(a_kk, a_rk), made primitive again, and back substitution
+keeps every unknown over one common denominator until one Fraction per
+output.  Only this path skips a row whose multiplier a_rk is zero.  Every
+other scalar type (floats, `CountingNumber`) runs the generic
+elimination with first-nonzero pivoting, which does every update, so its
+operation count depends only on the matrix size; the bench's op counts
+are defined by that path.  Both paths raise the same
+`SingularMatrixError`: whether column k has a pivot depends only on the
+rank of the leading k + 1 columns, not on the pivots chosen before it.
 """
 
 import math
@@ -34,10 +35,11 @@ class SingularMatrixError(ArithmeticError):
 
 
 def gaussian_solve(m: DenseMatrix, q) -> list:
-    """Exact Gaussian elimination with first-nonzero pivoting.
+    """Exact Gaussian elimination.
 
-    Ints and Fractions take the fraction-free path (`_integer_solve`).
-    Otherwise there is no zero-factor skipping and no pivot-size
+    Ints and Fractions take the fraction-free path (`_integer_solve`),
+    which pivots on the smallest magnitude.  Otherwise pivoting is
+    first-nonzero, with no zero-factor skipping and no pivot-size
     heuristic, so the operation count depends only on the matrix size.
     """
     if m.rows != m.cols:
@@ -86,7 +88,9 @@ def _integer_solve(m: DenseMatrix, q) -> list:
         scale = math.lcm(*(x.denominator for x in row))
         rows.append(_primitive([x.numerator * (scale // x.denominator) for x in row]))
     for k in range(n):
-        pivot = next((r for r in range(k, n) if rows[r][k] != 0), None)
+        # A small pivot a_kk keeps the multiplier a_kk/g of every row below short.
+        pivot = min((r for r in range(k, n) if rows[r][k] != 0),
+                    key=lambda r: abs(rows[r][k]), default=None)
         if pivot is None:
             raise SingularMatrixError(f"no pivot available in column {k}")
         if pivot != k:

@@ -16,7 +16,7 @@ from vandersolve import cli
 from vandersolve.cli import ProblemInput, cmd_interpolate, main
 from vandersolve.kernel import KernelBasis, kernel_basis, solve_general
 from vandersolve.poly import Polynomial
-from vandersolve.symfuncs import NodeSet
+from vandersolve.symfuncs import NodeSet, compute_sigma, deflate_all
 from vandersolve.vandermonde import interpolate
 
 
@@ -367,7 +367,22 @@ def _space_with_repeated_vector(nodes, q, n):
     return replace(space, basis=_repeat_first(space.basis))
 
 
+def _sigma_with_wrong_entry(nodes):
+    table = compute_sigma(nodes)
+    return replace(table, sigma=table.sigma[:2] + (table.sigma[2] + 1,) + table.sigma[3:])
+
+
+def _deflated_with(change):
+    def fake(table):
+        rows = list(deflate_all(table).deflated)
+        rows[1] = change(rows[1])
+        return replace(table, deflated=tuple(rows))
+    return fake
+
+
 WIDE = ("solve", "--nodes", "0,1", "--values", "1,2", "--n", "4")
+SIGMA = ("sigma", "--nodes", "1,-2,3/2,5")
+DEFLATED = SIGMA + ("--deflated",)
 
 
 @pytest.mark.parametrize("argv,target,fake", [
@@ -377,8 +392,15 @@ WIDE = ("solve", "--nodes", "0,1", "--values", "1,2", "--n", "4")
     (WIDE, "solve_general", _space_with_repeated_vector),
     (("kernel", "--nodes", "1,2", "--n", "5"), "kernel_basis",
      lambda nodes, n: _repeat_first(kernel_basis(nodes, n))),
+    (SIGMA, "compute_sigma", _sigma_with_wrong_entry),
+    (DEFLATED, "deflate_all",
+     _deflated_with(lambda row: row[:2] + (row[2] - 1,) + row[3:])),
+    (DEFLATED, "deflate_all", _deflated_with(lambda row: row + (0,))),
+    (DEFLATED, "deflate_all", lambda table: replace(
+        table, deflated=deflate_all(table).deflated[:-1])),
 ], ids=["interpolate-coefficient", "solve-coefficient", "solve-repeated-vector",
-        "kernel-repeated-vector"])
+        "kernel-repeated-vector", "sigma-entry", "deflated-entry", "deflated-row-length",
+        "deflated-missing-row"])
 def test_verify_catches_tampered_results(capsys, monkeypatch, argv, target, fake):
     monkeypatch.setattr(cli, target, fake)
     assert run_cli(capsys, *argv)[0] == 0  # the tampered result still renders
@@ -388,11 +410,29 @@ def test_verify_catches_tampered_results(capsys, monkeypatch, argv, target, fake
     assert "verification failed" in err
 
 
-def test_sigma_verify_refuses_huge_enumeration(capsys):
-    nodes = ",".join(str(i) for i in range(21))
-    code, _, err = run_cli(capsys, "sigma", "--nodes", nodes, "--verify")
-    assert code == 2
-    assert "p <= 20" in err
+def test_sigma_verify_has_no_node_limit(capsys):
+    for p in range(21, 61):
+        # distinct signed rationals: -1/2, 2/3, -3/4, 4, -5/2, ...
+        nodes = ",".join(f"{(-1) ** i * i}/{1 + i % 4}" for i in range(1, p + 1))
+        code, out, err = run_cli(capsys, "sigma", f"--nodes={nodes}", "--deflated",
+                                 "--verify")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["verified"] is True
+        assert len(payload["sigma"]) == p + 1 and len(payload["deflated"]) == p
+
+
+def test_closed_stdout_is_exit_one_without_traceback():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    # about 210 kB of JSON, more than a pipe buffer holds
+    nodes = ",".join(str(i) for i in range(1, 400))
+    proc = subprocess.Popen([sys.executable, "-m", "vandersolve", "sigma", "--nodes", nodes],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err
 
 
 def test_pretty_table(capsys):

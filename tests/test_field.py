@@ -109,6 +109,15 @@ def test_counting_interops_with_plain_ints():
     assert (ops.adds, ops.muls, ops.subs, ops.divs) == (1, 1, 1, 1)
 
 
+def test_counting_division_of_ints_stays_rational():
+    ops = OpCounter()
+    a, b = counting([1, 2], ops)
+    quotients = (a / 3, 3 / b, a / b)
+    assert [type(x.value) for x in quotients] == [Fraction] * 3
+    assert quotients == (Fraction(1, 3), Fraction(3, 2), Fraction(1, 2))
+    assert ops.divs == 3 and ops.total == 3
+
+
 def test_counting_number_compares_and_hashes_by_value():
     ops = OpCounter()
     x = CountingNumber(2.0, ops)

@@ -82,10 +82,10 @@ def test_cofactor_examples():
 
 
 def _generic_solve(m, q):
-    """gaussian_solve's generic path: CountingNumber-wrapped Fractions, unwrapped."""
+    """gaussian_solve's generic path: CountingNumber-wrapped scalars, unwrapped."""
     counter = OpCounter()
-    wrapped = DenseMatrix(m.rows, m.cols, counting([F(x) for x in m.entries], counter))
-    return [x.value for x in gaussian_solve(wrapped, counting([F(x) for x in q], counter))]
+    wrapped = DenseMatrix(m.rows, m.cols, counting(m.entries, counter))
+    return [x.value for x in gaussian_solve(wrapped, counting(q, counter))]
 
 
 def _elimination_cases():
@@ -108,6 +108,12 @@ def _elimination_cases():
     nodes = random_node_set(rng, 12)
     yield "vandermonde", build_matrix(nodes, 12).to_rows(), [random_fraction(rng)
                                                              for _ in range(12)]
+    # smallest-magnitude pivoting: the first nonzero candidate is not the smallest
+    nodes = random_node_set(rng, 20)
+    yield "vandermonde p = 20", build_matrix(nodes, 20).to_rows(), [random_fraction(rng)
+                                                                   for _ in range(20)]
+    yield "large first entry", [[10**12, 3, -1, 2], [7, F(1, 3), 2, 0], [-2, 5, 1, 9],
+                                [1, 1, F(-4, 5), 6]], [1, F(2, 7), -3, 10**6]
 
 
 @pytest.mark.parametrize("rows,q", [pytest.param(rows, q, id=name)
@@ -132,3 +138,11 @@ def test_integer_elimination_reports_singular_matrix_like_generic(rows):
         _generic_solve(m, q)
     with pytest.raises(SingularMatrixError, match=str(generic.value)):
         gaussian_solve(m, q)
+
+
+def test_generic_path_keeps_wrapped_ints_rational():
+    counter = OpCounter()
+    x = gaussian_solve(DenseMatrix(2, 2, counting([2, 1, 1, 3], counter)),
+                       counting([1, 2], counter))
+    assert [v.value for v in x] == [F(1, 5), F(3, 5)]
+    assert all(type(v.value) is F for v in x)
