@@ -102,16 +102,32 @@ def deflation_columns(nodes: np.ndarray, sigma: np.ndarray, ops: OpCounter):
         yield col
 
 
+def deflate_all_floats(nodes: np.ndarray, sigma: np.ndarray, scaled: np.ndarray,
+                       ops: OpCounter) -> np.ndarray:
+    """The deflation layer with its combine: u[n-1-t] = column t @ scaled.
+
+    The columns stream from `deflation_columns`, so memory stays O(p).  u is
+    the solution before the sign flips of the odd codegrees.
+    """
+    n = len(nodes)
+    u = np.empty(n)
+    with np.errstate(all="ignore"):
+        for t, col in enumerate(deflation_columns(nodes, sigma, ops)):
+            u[n - 1 - t] = col @ scaled
+    ops.muls += n * n
+    ops.adds += n * n
+    return u
+
+
 def solve_square_floats(nodes: np.ndarray, values: np.ndarray, ops: OpCounter) -> np.ndarray:
     """Closed-form quadratic solve, float lane, in O(p) memory.
 
     The column denominators prod_(k != j) (a_j - a_k) are built as a running
-    product over k, then each deflation column is dotted with the scaled
-    right-hand side as it is produced.
+    product over k, then `deflate_all_floats` dots each deflation column
+    with the scaled right-hand side as it is produced.
     """
     n = len(nodes)
     sigma = sigma_floats(nodes, ops)
-    w = np.empty(n)
     with np.errstate(all="ignore"):
         denoms = np.ones(n)
         for k in range(n):
@@ -122,11 +138,7 @@ def solve_square_floats(nodes: np.ndarray, values: np.ndarray, ops: OpCounter) -
         ops.muls += n * (n - 1)
         scaled = values / denoms
         ops.divs += n
-        # w_i before signs is sum_j deflated[j][n-1-i] * scaled_j
-        for t, col in enumerate(deflation_columns(nodes, sigma, ops)):
-            w[n - 1 - t] = col @ scaled
-        ops.muls += n * n
-        ops.adds += n * n
+        w = deflate_all_floats(nodes, sigma, scaled, ops)
         w[n % 2::2] = -w[n % 2::2]  # positions where n-1-i is odd
         ops.negs += n // 2
     return w

@@ -3,8 +3,8 @@
 The exact lane works on `fractions.Fraction` values: arbitrary-precision,
 always in lowest terms with a positive denominator, so overflow is
 impossible and equality is decidable.  The closed forms take ints and
-Fractions alike, lift them to Python ints (`symfuncs.integer_lift`) and
-build one Fraction per output.  The elimination oracle takes the same
+Fractions alike, run on the int numerators and denominators of the nodes
+(`symfuncs.homogeneous`) and build one Fraction per output.  The elimination oracle takes the same
 scalars by a path of its own: it scales each augmented row to primitive
 ints, eliminates fraction-free and builds one Fraction per output.  Every
 other scalar type (floats, `CountingNumber`) runs the generic

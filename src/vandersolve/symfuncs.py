@@ -11,17 +11,23 @@ one node again in p-1 linear-time steps via
 which is exact over rationals; over floats the subtraction cancels badly,
 so the float lane uses it for cost measurement only.
 
-Exact inputs never reach these passes as Fractions: the entry points
-(`poly_from_roots` here, the square solvers in `vandermonde`) first call
-`integer_lift`, which scales the nodes by L, the lcm of their
-denominators.  The passes then run on Python ints, with no gcd anywhere,
-and sigma(t) of the original nodes is sigma(t) of the lifted ones over L^t.
+Exact nodes (every node an int or a Fraction) never reach these passes as
+Fractions: each node is taken in its own homogeneous coordinates,
+a_k = n_k / d_k in lowest terms, and the passes build the int
+coefficients S of P(x) = prod(d_k x + n_k) instead, so sigma(t) =
+S_t / prod d_k.  Node k turns the row into S_t <- d_k S_t + n_k S_(t-1),
+and the row of P / (d_j x + n_j) is H_t = (S_t - n_j H_(t-1)) / d_j, an
+exact division.  No gcd runs anywhere, and no entry exceeds
+prod(|n_k| + d_k).  A node with d_k = 1 takes the plain step above, so
+integer grids run the same pass as every other scalar type (floats,
+`CountingNumber`), which is the path the op-count tests pin.
+`SigmaTable.sigma` and `.deflated` divide the stored rows out on read.
 """
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
-from math import lcm
 
 from .poly import Polynomial
 
@@ -80,17 +86,33 @@ class NodeSet:
 class SigmaTable:
     """sigma(0..p) of a node set, optionally with every deflated row.
 
-    Row i of `deflated` holds the coefficients of the set with node i
-    removed, indices 0..p-1.
+    Stored are the coefficients of P(x) = prod(d_k x + n_k), with
+    a_k = n_k / d_k in lowest terms for exact nodes and d_k = 1 otherwise:
+    `coeffs[t]` is codegree t, so coeffs[0] = prod d_k and
+    sigma(t) = coeffs[t] / coeffs[0].  Row j of `rows` holds
+    P(x) / (d_j x + n_j) the same way, and deflated(j, t) =
+    rows[j][t] / rows[j][0].  `sigma` and `deflated` are derived on first
+    read; they are the stored rows themselves when every d_k = 1.
     """
 
     nodes: NodeSet
-    sigma: tuple
-    deflated: tuple | None = None
+    coeffs: tuple
+    rows: tuple | None = None
 
     @property
     def p(self) -> int:
         return len(self.nodes)
+
+    @cached_property
+    def sigma(self) -> tuple:
+        return _normalized(self.coeffs)
+
+    @cached_property
+    def deflated(self) -> tuple | None:
+        """Row i: coefficients of the set with node i removed, indices 0..p-1."""
+        if self.rows is None:
+            return None
+        return tuple(_normalized(row) for row in self.rows)
 
     def sigma_at(self, t: int):
         """Total accessor: zero outside 0..p."""
@@ -100,35 +122,59 @@ class SigmaTable:
 
     def deflated_at(self, i: int, t: int):
         """Deflated coefficient of row i, zero outside 0..p-1."""
-        if self.deflated is None:
+        if self.rows is None:
             raise ValueError("deflated rows not computed; call deflate_all first")
         if 0 <= t < self.p:
             return self.deflated[i][t]
         return 0
 
 
-def integer_lift(nodes: NodeSet, values=()) -> tuple | None:
-    """(L, b): L the lcm of the node denominators and b the NodeSet L * a of ints.
+def _normalized(row) -> tuple:
+    """row / row[0]: the row itself when row[0] is 1, else Fractions."""
+    head = row[0]
+    if head == 1:
+        return row
+    return tuple(Fraction(c, head) for c in row)
 
-    None unless every node and value is an int or a Fraction; every other
-    scalar type (floats, CountingNumber) takes the generic path.  Scaling
-    by L > 0 keeps the nodes distinct and in order.
-    """
-    if not all(isinstance(x, (int, Fraction)) for x in chain(nodes, values)):
-        return None
-    scale = lcm(*(a.denominator for a in nodes))
-    return scale, NodeSet(tuple(a.numerator * (scale // a.denominator) for a in nodes))
+
+def is_exact(*sequences) -> bool:
+    """True when every scalar is an int or a Fraction: the exact path applies."""
+    return all(isinstance(x, (int, Fraction)) for x in chain(*sequences))
+
+
+def homogeneous(nodes: NodeSet) -> list:
+    """(n_k, d_k) per node: a_k = n_k / d_k in lowest terms, or (a_k, 1) off the exact path."""
+    if is_exact(nodes):
+        return [(a.numerator, a.denominator) for a in nodes]
+    return [(a, 1) for a in nodes]
 
 
 def compute_sigma(nodes: NodeSet) -> SigmaTable:
-    """All monomial coefficients of the node set in one triangular pass."""
+    """All coefficients of prod(d_k x + n_k) in one triangular pass."""
     p = len(nodes)
     s = [1] + [0] * p
-    for i in range(1, p + 1):
-        a = nodes[i - 1]
-        for j in range(i, 0, -1):
-            s[j] = s[j] + a * s[j - 1]
-    return SigmaTable(nodes=nodes, sigma=tuple(s))
+    for i, (n, d) in enumerate(homogeneous(nodes), 1):
+        if d == 1:
+            for j in range(i, 0, -1):
+                s[j] = s[j] + n * s[j - 1]
+        else:
+            for j in range(i, 0, -1):
+                s[j] = d * s[j] + n * s[j - 1]
+            s[0] *= d
+    return SigmaTable(nodes=nodes, coeffs=tuple(s))
+
+
+def _quotient(s, n, d) -> tuple:
+    """Coefficients of P(x) / (d x + n), P given by s; every division is exact."""
+    p = len(s) - 1
+    row = [s[0] if d == 1 else s[0] // d] + [0] * (p - 1)
+    if d == 1:
+        for t in range(1, p):
+            row[t] = s[t] - n * row[t - 1]
+    else:
+        for t in range(1, p):
+            row[t] = (s[t] - n * row[t - 1]) // d
+    return tuple(row)
 
 
 def deflate(table: SigmaTable, index: int) -> tuple:
@@ -136,11 +182,8 @@ def deflate(table: SigmaTable, index: int) -> tuple:
     p = table.p
     if not 0 <= index < p:
         raise IndexError(f"node index {index} out of range for p={p}")
-    a = table.nodes[index]
-    row = [1] + [0] * (p - 1)
-    for t in range(1, p):
-        row[t] = table.sigma[t] - a * row[t - 1]
-    return tuple(row)
+    n, d = homogeneous(table.nodes)[index]
+    return _normalized(_quotient(table.coeffs, n, d))
 
 
 def deflate_all(table: SigmaTable) -> SigmaTable:
@@ -149,8 +192,9 @@ def deflate_all(table: SigmaTable) -> SigmaTable:
     Rows are independent, so the loop could run in parallel without
     changing any result.
     """
-    rows = tuple(deflate(table, i) for i in range(table.p))
-    return replace(table, deflated=rows)
+    s = table.coeffs
+    rows = tuple(_quotient(s, n, d) for n, d in homogeneous(table.nodes))
+    return replace(table, rows=rows)
 
 
 def _signed(c, codegree: int):
@@ -162,17 +206,13 @@ def poly_from_roots(nodes: NodeSet) -> Polynomial:
 
     The coefficient of x^i is the codegree-(p-i) coefficient with
     alternating sign.  Exact nodes get Fraction coefficients, one
-    sigma(t)(L * a) / L^t each.
+    coeffs[p-i] / prod d_k each.
     """
     p = len(nodes)
-    lifted = integer_lift(nodes)
-    if lifted is None:
-        sigma = compute_sigma(nodes).sigma
-        return Polynomial(tuple(_signed(sigma[p - i], p - i) for i in range(p + 1)))
-    scale, ints = lifted
-    sigma = compute_sigma(ints).sigma
-    return Polynomial(tuple(Fraction(_signed(sigma[p - i], p - i), scale ** (p - i))
-                            for i in range(p + 1)))
+    s = compute_sigma(nodes).coeffs
+    if not is_exact(nodes):
+        return Polynomial(tuple(_signed(s[p - i], p - i) for i in range(p + 1)))
+    return Polynomial(tuple(Fraction(_signed(s[p - i], p - i), s[0]) for i in range(p + 1)))
 
 
 def check_root_identity(table: SigmaTable, a):

@@ -8,16 +8,20 @@ every other node, divided by its denominator D_j; the solve sums those
 columns weighted by q_j / D_j, and `interpolate` wraps the result in a
 `Polynomial` (evaluate it with `Polynomial.evaluate`).
 
-Exact inputs (every node and value an int or a Fraction) are lifted to
-the int nodes b = L * a, L the lcm of the node denominators, and stay in
-ints until one `Fraction(numerator, denominator)` per output.  The lift
-is undone by the diagonal scaling V(b) = V(a) diag(L^i): the solution of
-V(a) w = q is w_i = L^i w'_i with V(b) w' = q.  The solve puts the values
-over one common denominator and the weights over G = lcm(D_j), so each
-output coefficient is one integer dot product.  Every other scalar type
-(floats, `CountingNumber`) runs the same passes generically on its own
-operators; the op-count tests pin that path.  The determinant is the
-plain product on every scalar type.
+Exact inputs (every node and value an int or a Fraction) stay in ints
+until one `Fraction(numerator, denominator)` per output.  With
+a_k = n_k / d_k, the table holds the int rows H_j of
+prod over k != j of (d_k x + n_k) (see `symfuncs`), and the column
+denominator becomes E_j = prod over k != j of (n_j d_k - n_k d_j).  The
+factors prod over k != j of d_k cancel between the two, so inverse entry
+(i, j) is (-1)^(p-1-i) d_j^(p-1) H_j[p-1-i] / E_j.  The solve puts the
+values over one common denominator and the weights d_j^(p-1) / E_j over
+G = lcm(E_j), so each output coefficient is one integer dot product.
+Every other scalar type (floats, `CountingNumber`) runs the same passes
+generically on its own operators, with every d_k = 1 and E_j = D_j; the
+op-count tests pin that path.  Exact nodes with values of another type
+get that generic combine over the deflated rows and D_j.  The
+determinant is the plain product on every scalar type.
 
 `DenseMatrix` and `build_matrix` give the explicit matrix that the
 elimination oracle and the tests work on; no closed form uses them.
@@ -32,7 +36,7 @@ from math import lcm
 from operator import mul
 
 from .poly import Polynomial
-from .symfuncs import NodeSet, compute_sigma, deflate_all, integer_lift
+from .symfuncs import NodeSet, compute_sigma, deflate_all, homogeneous, is_exact
 
 __all__ = [
     "DenseMatrix",
@@ -136,24 +140,36 @@ def determinant(nodes: NodeSet):
     return det
 
 
-def _numerator_coeff(deflated_row, n: int, i: int):
-    """Degree-i coefficient of prod over k != j of (x - a_k)."""
-    c = deflated_row[n - 1 - i]
+def _numerator_coeff(row, n: int, i: int):
+    """Degree-i coefficient of row j's polynomial prod over k != j of (d_k x - n_k)."""
+    c = row[n - 1 - i]
     return c if (n - 1 - i) % 2 == 0 else -c
 
 
-def _column_denominator(nodes: NodeSet, j: int):
-    """D_j = prod over k != j of (a_j - a_k), the Lagrange basis denominator.
+def _column_denominators(pairs) -> list:
+    """E_j = prod over k != j of (n_j d_k - n_k d_j) for every j, from the (n, d) pairs.
 
-    Computed as a direct product (the cheap route); the equivalent signed
-    power sum over the deflated coefficients is asserted equal in the tests.
+    When every d is 1 (always, off the exact path) E_j is the Lagrange
+    basis denominator D_j = prod over k != j of (a_j - a_k), formed with
+    one subtraction per factor.  Computed as a direct product (the cheap
+    route); the equivalent signed power sum over the deflated coefficients
+    is asserted equal in the tests.
     """
-    a_j = nodes[j]
-    d = 1
-    for k, a_k in enumerate(nodes):
-        if k != j:
-            d = d * (a_j - a_k)
-    return d
+    plain = all(d == 1 for _, d in pairs)
+    nums = [n for n, _ in pairs]
+    out = []
+    for j, (n_j, d_j) in enumerate(pairs):
+        e = 1
+        if plain:
+            for k, n_k in enumerate(nums):
+                if k != j:
+                    e = e * (n_j - n_k)
+        else:
+            for k, (n_k, d_k) in enumerate(pairs):
+                if k != j:
+                    e = e * (n_j * d_k - n_k * d_j)
+        out.append(e)
+    return out
 
 
 def inverse(nodes: NodeSet) -> DenseMatrix:
@@ -161,22 +177,21 @@ def inverse(nodes: NodeSet) -> DenseMatrix:
 
     Columns are independent (each one needs only its own deflated row and
     denominator), so they could be computed in parallel.  Exact nodes give
-    entry (i, j) = L^i * numerator / D_j over the lifted nodes, one
+    entry (i, j) = d_j^(p-1) * numerator / E_j from the integer row, one
     Fraction each.
     """
     n = len(nodes)
-    lifted = integer_lift(nodes)
-    work = nodes if lifted is None else lifted[1]
-    table = deflate_all(compute_sigma(work))
-    powers = None if lifted is None else [lifted[0] ** i for i in range(n)]
+    table = deflate_all(compute_sigma(nodes))
+    pairs = homogeneous(nodes)
+    exact = is_exact(nodes)
     columns = []
-    for j in range(n):
-        d = _column_denominator(work, j)
-        numerators = [_numerator_coeff(table.deflated[j], n, i) for i in range(n)]
-        if powers is None:
-            columns.append([c / d for c in numerators])
+    for j, ((_, d_j), e) in enumerate(zip(pairs, _column_denominators(pairs))):
+        numerators = [_numerator_coeff(table.rows[j], n, i) for i in range(n)]
+        if exact:
+            lead = d_j ** (n - 1)
+            columns.append([Fraction(lead * c, e) for c in numerators])
         else:
-            columns.append([Fraction(s * c, d) for s, c in zip(powers, numerators)])
+            columns.append([c / e for c in numerators])
     entries = tuple(columns[j][i] for i in range(n) for j in range(n))
     return DenseMatrix(n, n, entries)
 
@@ -191,12 +206,11 @@ def solve_square(nodes: NodeSet, q) -> list:
     n = len(nodes)
     if len(q) != n:
         raise DimensionMismatchError(f"{n} nodes but {len(q)} values")
-    lifted = integer_lift(nodes, q)
-    work = nodes if lifted is None else lifted[1]
-    table = deflate_all(compute_sigma(work))
-    denominators = [_column_denominator(work, j) for j in range(n)]
-    if lifted is not None:
-        return _combine_lifted(lifted[0], table.deflated, denominators, q)
+    table = deflate_all(compute_sigma(nodes))
+    if is_exact(nodes, q):
+        pairs = homogeneous(nodes)
+        return _combine_exact(table.rows, pairs, _column_denominators(pairs), q)
+    denominators = _column_denominators([(a, 1) for a in nodes])
     scaled = [q_j / d for q_j, d in zip(q, denominators)]
     w = []
     for i in range(n):
@@ -208,25 +222,25 @@ def solve_square(nodes: NodeSet, q) -> list:
     return w
 
 
-def _combine_lifted(scale: int, deflated, denominators, q) -> list:
-    """The combine step over int nodes b = scale * a, returning w for the nodes a.
+def _combine_exact(rows, pairs, denominators, q) -> list:
+    """The combine step on the integer rows H_j of an exact table.
 
-    q_j / D_j = c_j / (M * G) with M the common denominator of the values
-    and G = lcm(D_j), so w'_i is an integer dot product over M * G and
-    w_i = scale^i * w'_i.
+    w_i = (-1)^(p-1-i) sum_j H_j[p-1-i] * q_j * d_j^(p-1) / E_j.  The
+    values go over their common denominator M and the column weights
+    d_j^(p-1) / E_j over G = lcm(E_j), so w_i is one integer dot product
+    over M * G.
     """
+    n = len(rows)
     g = lcm(*denominators)
     m = lcm(*(x.denominator for x in q))
-    weights = [x.numerator * (m // x.denominator) * (g // d) for x, d in zip(q, denominators)]
-    columns = list(zip(*deflated))  # columns[t][j] = deflated[j][t]
-    n = len(columns)
+    weights = [x.numerator * (m // x.denominator) * (g // e) * d ** (n - 1)
+               for x, (_, d), e in zip(q, pairs, denominators)]
+    columns = list(zip(*rows))  # columns[t][j] = rows[j][t]
     w = []
-    power = 1
     for i in range(n):
         t = n - 1 - i
         s = sum(map(mul, columns[t], weights))
-        w.append(Fraction(power * s if t % 2 == 0 else -power * s, m * g))
-        power *= scale
+        w.append(Fraction(s if t % 2 == 0 else -s, m * g))
     return w
 
 

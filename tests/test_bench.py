@@ -44,6 +44,18 @@ def test_deflation_kernel_matches_exact_path(p):
     assert np.allclose(grid, want, rtol=1e-9)
 
 
+@pytest.mark.parametrize("p", SIZES)
+def test_deflation_layer_dots_each_column_with_the_scaled_values(p):
+    nodes, scaled = bench.bench_nodes(p), bench.bench_values(p)
+    sigma = bench.sigma_floats(nodes, OpCounter())
+    grid = np.column_stack(list(bench.deflation_columns(nodes, sigma, OpCounter())))
+    ops = OpCounter()
+    u = bench.deflate_all_floats(nodes, sigma, scaled, ops)
+    np.testing.assert_allclose(u[::-1], grid.T @ scaled, rtol=1e-12)
+    assert (ops.muls, ops.subs, ops.adds) == (p * (p - 1) + p * p, p * (p - 1), p * p)
+    assert ops.divs == ops.negs == 0
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_float_solve_matches_exact_solve(n):
     got = bench.solve_square_floats(bench.bench_nodes(n), bench.bench_values(n), OpCounter())

@@ -367,16 +367,18 @@ def _space_with_repeated_vector(nodes, q, n):
     return replace(space, basis=_repeat_first(space.basis))
 
 
+# The tampering acts on the stored integer rows; cli reads sigma and the
+# deflated rows derived from them.
 def _sigma_with_wrong_entry(nodes):
     table = compute_sigma(nodes)
-    return replace(table, sigma=table.sigma[:2] + (table.sigma[2] + 1,) + table.sigma[3:])
+    return replace(table, coeffs=table.coeffs[:2] + (table.coeffs[2] + 1,) + table.coeffs[3:])
 
 
 def _deflated_with(change):
     def fake(table):
-        rows = list(deflate_all(table).deflated)
+        rows = list(deflate_all(table).rows)
         rows[1] = change(rows[1])
-        return replace(table, deflated=tuple(rows))
+        return replace(table, rows=tuple(rows))
     return fake
 
 
@@ -397,7 +399,7 @@ DEFLATED = SIGMA + ("--deflated",)
      _deflated_with(lambda row: row[:2] + (row[2] - 1,) + row[3:])),
     (DEFLATED, "deflate_all", _deflated_with(lambda row: row + (0,))),
     (DEFLATED, "deflate_all", lambda table: replace(
-        table, deflated=deflate_all(table).deflated[:-1])),
+        table, rows=deflate_all(table).rows[:-1])),
 ], ids=["interpolate-coefficient", "solve-coefficient", "solve-repeated-vector",
         "kernel-repeated-vector", "sigma-entry", "deflated-entry", "deflated-row-length",
         "deflated-missing-row"])

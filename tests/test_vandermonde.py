@@ -5,11 +5,17 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from helpers import exact_scalars, node_sets, random_node_set, random_values, small_fractions
 from vandersolve.field import OpCounter, counting
-from vandersolve.oracle import cofactor_determinant, gaussian_solve, sigma_bruteforce
+from vandersolve.kernel import kernel_basis
+from vandersolve.oracle import (
+    cofactor_determinant,
+    gaussian_solve,
+    sigma_bruteforce,
+    solve_by_elimination,
+)
 from vandersolve.poly import Polynomial
 from vandersolve.symfuncs import NodeSet, compute_sigma, deflate_all, poly_from_roots
 from vandersolve.vandermonde import (
@@ -260,6 +266,77 @@ def test_integer_core_matches_oracles_and_generic_path(case):
 
     for x in w + list(inv.entries) + list(roots):
         assert isinstance(x, Fraction)
+
+
+# Mixed exact node sets for the per-node denominators: ints (zero included),
+# negative numerators, denominators up to 10^6, and pairwise coprime ones.
+_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 999983)
+_wide_fractions = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)
+_mixed_nodes = st.one_of(
+    st.lists(st.one_of(st.integers(min_value=-9, max_value=9), _wide_fractions,
+                       small_fractions), min_size=1, max_size=7, unique=True),
+    st.lists(st.sampled_from(_PRIMES), min_size=1, max_size=7, unique=True).flatmap(
+        lambda dens: st.tuples(*(st.integers(min_value=-40, max_value=40).map(
+            lambda num, d=d: F(num * d + 1, d)) for d in dens)).map(list)),
+)
+_mixed_systems = _mixed_nodes.flatmap(lambda xs: st.tuples(
+    st.just(xs), st.lists(exact_scalars, min_size=len(xs), max_size=len(xs))))
+
+
+def _generic_table(nodes):
+    """Sigma and deflated rows from the generic path on CountingNumber-wrapped Fractions."""
+    table = deflate_all(compute_sigma(NodeSet(tuple(counting([F(a) for a in nodes],
+                                                             OpCounter())))))
+    return (tuple(getattr(x, "value", x) for x in table.sigma),
+            tuple(tuple(getattr(x, "value", x) for x in row) for row in table.deflated))
+
+
+@given(_mixed_systems)
+@example(([0], [F(3, 4)]))
+@example(([F(-5, 999983)], [2]))
+@example(([0, 1, F(1, 2), F(-1, 3), F(2, 5)], [1, 0, F(-1, 7), 2, 0]))
+def test_per_node_denominators_match_oracles_bit_for_bit(system):
+    nodes, q = system
+    ns, p = NodeSet(tuple(nodes)), len(nodes)
+    w = solve_square(ns, q)
+    assert w == solve_by_elimination(ns, q)
+    assert all(type(x) is Fraction for x in w)
+
+    matrix = build_matrix(ns, p)
+    inv = inverse(ns)
+    for j in range(p):
+        assert list(inv.column(j)) == gaussian_solve(matrix, [F(int(i == j)) for i in range(p)])
+    assert all(type(x) is Fraction for x in inv.entries)
+
+    want = tuple((-1) ** (p - i) * sigma_bruteforce(nodes, p - i) for i in range(p + 1))
+    assert poly_from_roots(ns).coeffs == want
+    assert kernel_basis(ns, p + 2).vectors == (want + (0,), (0,) + want)
+
+    table = deflate_all(compute_sigma(ns))
+    assert (table.sigma, table.deflated) == _generic_table(nodes)
+    if all(F(a).denominator == 1 for a in nodes):
+        assert all(type(x) is int for x in table.sigma + sum(table.deflated, ()))
+
+
+@given(_mixed_nodes)
+def test_stored_integer_rows_stay_below_the_homogeneous_bound(nodes):
+    # every coefficient of a product of factors d x + n is at most prod(|n| + d)
+    table = deflate_all(compute_sigma(NodeSet(tuple(nodes))))
+    bound = 1
+    for a in nodes:
+        bound *= abs(F(a).numerator) + F(a).denominator
+    stored = table.coeffs + sum(table.rows, ())
+    assert all(type(x) is int and abs(x) <= bound for x in stored)
+
+
+def test_exact_nodes_with_float_values_take_the_generic_path():
+    # E_j passes 2**1024 at this size, so only the generic D_j fits a float
+    rng = random.Random(606)
+    ns = random_node_set(rng, 130)
+    q = [rng.uniform(-2, 2) for _ in range(130)]
+    ops = OpCounter()
+    want = solve_square(NodeSet(tuple(counting(ns.nodes, ops))), counting(q, ops))
+    assert solve_square(ns, q) == [x.value for x in want]
 
 
 # --- cost -------------------------------------------------------------------------
