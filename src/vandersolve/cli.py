@@ -28,6 +28,8 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import chain
 
 from . import oracle
 from .field import ScalarParseError, parse_scalar, values_equal
@@ -125,18 +127,29 @@ def _render_vector(v, problem: ProblemInput) -> list:
 # input assembly
 
 
-def _read_csv(path: str) -> tuple:
-    """CSV with a node column and an optional value column; header optional."""
+def _is_scalar(text: str) -> bool:
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        parse_scalar(text)
+    except ScalarParseError:
+        return False
+    return True
+
+
+def _read_csv(path: str) -> tuple:
+    """CSV with a node column and an optional value column; header optional.
+
+    The first row is a header only when none of its cells parses as a
+    scalar, so a malformed literal there is a parse error, not a header.
+    A UTF-8 byte-order mark (Excel's "CSV UTF-8") is skipped.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from exc
     if not rows:
         raise CliError(f"{path} holds no data rows", EXIT_PARSE)
-    try:
-        parse_scalar(rows[0][0])
-    except ScalarParseError:
+    if not any(_is_scalar(cell) for cell in rows[0]):
         rows = rows[1:]  # header row
     if not rows:
         raise CliError(f"{path} holds no data rows", EXIT_PARSE)
@@ -151,7 +164,7 @@ def _read_csv(path: str) -> tuple:
 def _read_json(path: str) -> tuple:
     """JSON object with "nodes", optional "values" and optional "n"."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from exc
@@ -252,7 +265,10 @@ def _verify_sigma(nodes, table, deflated):
     so the monic P is prod(x - a_i).  Row i has p entries and
     (x - a_i) * D_i(x) = P(x) coefficientwise, that is
     sigma(t) = D_i(t) + a_i * D_i(t-1) with D_i(-1) = D_i(p) = 0; division
-    by x - a_i is unique, so that proves the row.
+    by x - a_i is unique, so that proves the row.  On exact values the
+    identity runs in ints: with sigma = S / L, D_i = R / M and
+    a_i = n / d, it reads S(t) M d = L (d R(t) + n R(t-1)), with both
+    sides divided by gcd(L, M d).
     """
     p = len(nodes)
     sigma = table.sigma
@@ -265,13 +281,29 @@ def _verify_sigma(nodes, table, deflated):
         return
     if len(deflated) != p:
         _verify_fail(f"{len(deflated)} deflated rows for {p} nodes")
+    exact = all(isinstance(x, (int, Fraction)) for x in chain(nodes, sigma, *deflated))
+    if exact:
+        sigma_den, sigma = _over_common_denominator(sigma)
     for i, (a, row) in enumerate(zip(nodes, deflated)):
         if len(row) != p:
             _verify_fail(f"deflated row {i} has {len(row)} entries, not {p}")
+        # sigma(t) * scale = lead * D_i(t) + trail * D_i(t-1)
+        scale, lead, trail = 1, 1, a
+        if exact:
+            row_den, row = _over_common_denominator(row)
+            g = math.gcd(sigma_den, row_den * a.denominator)
+            scale = row_den * a.denominator // g
+            lead, trail = (sigma_den // g) * a.denominator, (sigma_den // g) * a.numerator
         padded = (0, *row, 0)
         for t in range(p + 1):
-            if not values_equal(sigma[t], padded[t + 1] + a * padded[t]):
+            if not values_equal(sigma[t] * scale, lead * padded[t + 1] + trail * padded[t]):
                 _verify_fail(f"deflated row {i} times (x - {a}) misses sigma({t})")
+
+
+def _over_common_denominator(row) -> tuple:
+    """(L, ints) with L the lcm of the exact row's denominators and ints = L * row."""
+    den = math.lcm(*(x.denominator for x in row))
+    return den, [x.numerator * (den // x.denominator) for x in row]
 
 
 # ---------------------------------------------------------------------------

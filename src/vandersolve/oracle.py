@@ -10,10 +10,17 @@ elimination only, to cross-check `interpolate`.
 entry of the matrix and the right-hand side is an int or a Fraction it
 eliminates fraction-free: each augmented row is scaled to primitive
 integers (no common factor), the pivot is the nonzero candidate of
-smallest magnitude, a row update is (a_kk/g) * row_r - (a_rk/g) * row_k
-with g = gcd(a_kk, a_rk), made primitive again, and back substitution
-keeps every unknown over one common denominator until one Fraction per
-output.  Only this path skips a row whose multiplier a_rk is zero.  Every
+smallest magnitude and is made primitive when chosen, a row update is
+u * row_r - v * row_k with g = gcd(a_kk, a_rk), u = a_kk/g, v = a_rk/g,
+and back substitution keeps every unknown over one common denominator
+until one Fraction per output.  An updated row is made primitive again
+only when g <= |u|.  On Vandermonde rows g takes most of the pivot's
+bits and the content left after the update averages a few bits, not
+worth a full-row gcd; on dense integer matrices g is short, and the row
+carries the Sylvester factor that Bareiss's elimination divides out,
+which the gcd removes before it compounds.  Only this path skips a row
+whose multiplier a_rk is zero.  `solve_by_elimination` hands exact
+nodes and values over as integer rows, with no `build_matrix`.  Every
 other scalar type (floats, `CountingNumber`) runs the generic
 elimination with first-nonzero pivoting, which does every update, so its
 operation count depends only on the matrix size; the bench's op counts
@@ -38,9 +45,12 @@ def gaussian_solve(m: DenseMatrix, q) -> list:
     """Exact Gaussian elimination.
 
     Ints and Fractions take the fraction-free path (`_integer_solve`),
-    which pivots on the smallest magnitude.  Otherwise pivoting is
-    first-nonzero, with no zero-factor skipping and no pivot-size
-    heuristic, so the operation count depends only on the matrix size.
+    which pivots on the smallest magnitude and divides a row by the gcd
+    of its entries when it becomes the pivot row and after an update
+    whose pair gcd g = gcd(a_kk, a_rk) is at most |a_kk/g|.  Otherwise
+    pivoting is first-nonzero, with no zero-factor skipping and no
+    pivot-size heuristic, so the operation count depends only on the
+    matrix size.
     """
     if m.rows != m.cols:
         raise ValueError("matrix must be square")
@@ -80,7 +90,7 @@ def _primitive(row: list) -> list:
 
 
 def _integer_solve(m: DenseMatrix, q) -> list:
-    """gaussian_solve on primitive integer rows; one Fraction per output."""
+    """gaussian_solve on integer rows, primitive as pivots; one Fraction per output."""
     n = m.rows
     rows = []
     for i in range(n):
@@ -93,9 +103,9 @@ def _integer_solve(m: DenseMatrix, q) -> list:
                     key=lambda r: abs(rows[r][k]), default=None)
         if pivot is None:
             raise SingularMatrixError(f"no pivot available in column {k}")
-        if pivot != k:
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-        top = rows[k]
+        top = _primitive(rows[pivot])
+        rows[pivot] = rows[k]
+        rows[k] = top
         head = top[k]
         tail = top[k + 1:]
         for r in range(k + 1, n):
@@ -105,8 +115,9 @@ def _integer_solve(m: DenseMatrix, q) -> list:
                 continue
             g = math.gcd(head, lead)
             u, v = head // g, lead // g
-            rows[r] = _primitive([0] * (k + 1) + [u * x - v * y
-                                                  for x, y in zip(row[k + 1:], tail)])
+            row = [0] * (k + 1) + [u * x - v * y for x, y in zip(row[k + 1:], tail)]
+            # g > |u| took over half of the pivot's bits: the content left is short.
+            rows[r] = row if g > abs(u) else _primitive(row)
     # x_c = num[c] / den for c > i; solving row i multiplies den by its pivot.
     num = [0] * n
     den = 1
@@ -127,8 +138,29 @@ def _integer_solve(m: DenseMatrix, q) -> list:
 
 
 def solve_by_elimination(nodes, q) -> list:
-    """gaussian_solve on the explicit square Vandermonde matrix of the nodes."""
-    return gaussian_solve(build_matrix(nodes, len(nodes)), q)
+    """gaussian_solve on the explicit square Vandermonde matrix of the nodes.
+
+    Exact nodes and values (ints and Fractions) skip `build_matrix`: with
+    a_i = n_i / d_i, row i is built in ints as the Vandermonde row times
+    d_i^(p-1), that is (d_i^(p-1), n_i d_i^(p-2), ..., n_i^(p-1)), with
+    the value q_i d_i^(p-1).  Scaling a row leaves the solution alone.
+    """
+    nodes = list(nodes)
+    p = len(nodes)
+    if len(q) != p:
+        raise ValueError(f"{p} equations but {len(q)} values")
+    if not all(isinstance(x, (int, Fraction)) for x in chain(nodes, q)):
+        return gaussian_solve(build_matrix(nodes, p), q)
+    entries = []
+    values = []
+    for a, y in zip(nodes, q):
+        n, d = a.numerator, a.denominator
+        row = [d ** (p - 1)]
+        for _ in range(p - 1):
+            row.append(row[-1] // d * n)
+        entries.extend(row)
+        values.append(y * row[0])
+    return gaussian_solve(DenseMatrix(p, p, entries), values)
 
 
 def gaussian_rank(m: DenseMatrix) -> int:

@@ -233,6 +233,31 @@ def test_csv_without_header(tmp_path, capsys):
     assert out == '{"coefficients":["1","1"],"degree":1}\n'
 
 
+def test_csv_with_byte_order_mark_keeps_its_first_row(tmp_path, capsys):
+    path = tmp_path / "points.csv"
+    path.write_bytes(b"\xef\xbb\xbf1,2\n2,3\n3,5\n")  # Excel's "CSV UTF-8"
+    code, out, _ = run_cli(capsys, "interpolate", "--csv", str(path))
+    assert code == 0
+    assert out == '{"coefficients":["2","-1/2","1/2"],"degree":2}\n'
+
+
+def test_csv_malformed_first_row_is_not_a_header(tmp_path, capsys):
+    path = tmp_path / "points.csv"
+    path.write_text("1..5,2\n2,3\n3,5\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "interpolate", "--csv", str(path))
+    assert code == 1
+    assert out == ""
+    assert "'1..5'" in err
+
+
+def test_json_with_byte_order_mark(tmp_path, capsys):
+    path = tmp_path / "points.json"
+    path.write_bytes(b'\xef\xbb\xbf{"nodes": ["0", "1"], "values": ["1", "2"]}')
+    code, out, _ = run_cli(capsys, "interpolate", "--json", str(path))
+    assert code == 0
+    assert out == '{"coefficients":["1","1"],"degree":1}\n'
+
+
 def test_csv_single_column_feeds_sigma(tmp_path, capsys):
     path = tmp_path / "nodes.csv"
     path.write_text("1\n2\n3\n", encoding="utf-8")

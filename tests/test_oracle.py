@@ -3,9 +3,11 @@
 import random
 from fractions import Fraction
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
-from helpers import random_fraction, random_node_set
+from helpers import exact_scalars, random_fraction, random_node_set, small_fractions
 from vandersolve.field import OpCounter, counting
 from vandersolve.oracle import (
     SingularMatrixError,
@@ -13,6 +15,7 @@ from vandersolve.oracle import (
     gaussian_rank,
     gaussian_solve,
     sigma_bruteforce,
+    solve_by_elimination,
 )
 from vandersolve.symfuncs import NodeSet
 from vandersolve.vandermonde import DenseMatrix, build_matrix
@@ -114,6 +117,9 @@ def _elimination_cases():
                                                                    for _ in range(20)]
     yield "large first entry", [[10**12, 3, -1, 2], [7, F(1, 3), 2, 0], [-2, 5, 1, 9],
                                 [1, 1, F(-4, 5), 6]], [1, F(2, 7), -3, 10**6]
+    # pair gcds too short to take out the Sylvester factor: rows made primitive after updates
+    yield "dense ints p = 24", [[rng.randint(-99, 99) for _ in range(24)] for _ in range(24)], \
+        [rng.randint(-99, 99) for _ in range(24)]
 
 
 @pytest.mark.parametrize("rows,q", [pytest.param(rows, q, id=name)
@@ -146,3 +152,33 @@ def test_generic_path_keeps_wrapped_ints_rational():
                        counting([1, 2], counter))
     assert [v.value for v in x] == [F(1, 5), F(3, 5)]
     assert all(type(v.value) is F for v in x)
+
+
+# --- solve_by_elimination's integer Vandermonde rows ------------------------------
+
+decimals = st.builds(lambda n, k: F(n, 10 ** k), st.integers(-999, 999), st.integers(1, 3))
+exact_nodes = st.one_of(small_fractions, st.integers(min_value=-8, max_value=8), decimals)
+vandermonde_systems = st.lists(exact_nodes, min_size=1, max_size=8, unique=True).flatmap(
+    lambda ns: st.tuples(st.just(ns), st.lists(exact_scalars, min_size=len(ns),
+                                               max_size=len(ns))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(vandermonde_systems)
+@example(([F(-3, 4)], [F(5)]))
+@example(([7], [-2]))
+@example(([0, F(-1, 2), F(-7, 3), 3], [1, F(2, 3), -4, F(-5, 6)]))
+@example(([1, 2, 3, 4, 5, 6], [2, 3, 5, 7, 11, 13]))
+@example(([F(1, 10), F(-25, 100), F(7, 1000), F(-333, 1000), 2], [F(1, 10), 0, 3, F(-9, 7), 1]))
+def test_integer_vandermonde_rows_match_build_matrix(system):
+    nodes, q = system
+    x = solve_by_elimination(NodeSet(tuple(nodes)), q)
+    want = _generic_solve(build_matrix(NodeSet(tuple(F(a) for a in nodes)), len(nodes)),
+                          [F(y) for y in q])
+    assert x == want
+    assert all(type(v) is F for v in x)
+
+
+def test_solve_by_elimination_rejects_a_value_count_mismatch():
+    with pytest.raises(ValueError, match="3 equations but 4 values"):
+        solve_by_elimination(NodeSet((F(1, 2), 2, F(-3, 5))), [1, 2, 3, 4])
