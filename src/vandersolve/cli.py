@@ -2,8 +2,9 @@
 
 Scalars arrive as "p/q" or decimal literals (inline flags, CSV or JSON
 files); results leave as compact JSON on stdout with stable key order, or
-as an aligned table with --pretty.  Exact arithmetic is the default and
---float opts into the benchmark-grade lane.
+as an aligned table with --pretty.  Every literal is parsed, solved and
+verified exactly; --float changes only the output format, rendering each
+exact result as its correctly rounded double.
 
 --verify re-evaluates every solution at every node, proves a kernel
 basis independent by its echelon of trailing ones, cross-checks
@@ -14,10 +15,9 @@ x - a_i gives it back), with no limit on the node count.
 
 Exit codes: 0 success, 1 usage or parse error, missing input, unwritable
 --out or stdout closed early, 2 invalid problem (duplicate nodes,
-dimension mismatch, n < 1, a float result that is not finite), 3
-inconsistent overdetermined system, 4 --verify mismatch.  In the exact
-lane exit 4 would mean a bug; with --float it also reports rounding
-error beyond the comparison tolerance.
+dimension mismatch, n < 1, a --float result too large for a double), 3
+inconsistent overdetermined system, 4 --verify mismatch, which would
+mean a bug with or without --float.
 """
 
 import argparse
@@ -28,11 +28,9 @@ import math
 import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import chain
 
 from . import oracle
-from .field import ScalarParseError, parse_scalar, values_equal
+from .field import ScalarParseError, parse_scalar
 from .kernel import (
     OverdeterminedInputError,
     kernel_basis,
@@ -73,24 +71,16 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 @dataclass
 class ProblemInput:
-    """One parsed problem: scalar literals plus the ambient dimension."""
+    """One parsed problem: scalar literals, the ambient dimension, the output format."""
 
     nodes: list
     values: list | None = None
     n: int | None = None
-    mode: str = "exact"  # "exact" | "float"
-
-    @property
-    def float_mode(self) -> bool:
-        return self.mode == "float"
-
-
-def _parse_scalars(texts, float_mode: bool) -> list:
-    return [parse_scalar(t, float_mode=float_mode) for t in texts]
+    float_output: bool = False  # --float: render exact results as doubles
 
 
 def _node_set(problem: ProblemInput) -> NodeSet:
-    return NodeSet(tuple(_parse_scalars(problem.nodes, problem.float_mode)))
+    return NodeSet(tuple(parse_scalar(t) for t in problem.nodes))
 
 
 def _value_list(problem: ProblemInput, nodes: NodeSet) -> list:
@@ -99,7 +89,7 @@ def _value_list(problem: ProblemInput, nodes: NodeSet) -> list:
     if len(problem.values) != len(nodes):
         raise CliError(
             f"{len(nodes)} nodes but {len(problem.values)} values", EXIT_INVALID)
-    return _parse_scalars(problem.values, problem.float_mode)
+    return [parse_scalar(t) for t in problem.values]
 
 
 def _dimension(n: int) -> int:
@@ -110,13 +100,15 @@ def _dimension(n: int) -> int:
 
 
 def _render(x, problem: ProblemInput):
-    if not problem.float_mode:
+    """The exact result as a string, or under --float its correctly rounded double."""
+    if not problem.float_output:
         return str(x)
-    value = float(x)
-    if not math.isfinite(value):
-        raise CliError(f"float result {value} is not finite; rerun without --float",
-                       EXIT_INVALID)
-    return value
+    try:
+        return float(x)
+    except OverflowError:
+        # The exact value may have hundreds of digits: name the problem, not the value.
+        raise CliError("a result overflows a double and is not finite as a float; "
+                       "rerun without --float", EXIT_INVALID) from None
 
 
 def _render_vector(v, problem: ProblemInput) -> list:
@@ -145,7 +137,7 @@ def _read_csv(path: str) -> tuple:
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from exc
     if not rows:
         raise CliError(f"{path} holds no data rows", EXIT_PARSE)
@@ -166,7 +158,7 @@ def _read_json(path: str) -> tuple:
     try:
         with open(path, encoding="utf-8-sig") as fh:
             data = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"{path} is not valid JSON: {exc}", EXIT_PARSE) from exc
@@ -213,8 +205,7 @@ def _load_problem(args) -> ProblemInput:
             values = _split_flag(args.values)
         if n is None:
             n = file_n
-    mode = "float" if getattr(args, "float", False) else "exact"
-    return ProblemInput(nodes=nodes, values=values, n=n, mode=mode)
+    return ProblemInput(nodes=nodes, values=values, n=n, float_output=args.float)
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +243,8 @@ def _verify_interpolation(nodes, values, poly):
     _verify_residual(poly, nodes, values, "interpolant")
     reference = oracle.solve_by_elimination(nodes, values)
     padded = list(poly.coeffs) + [0] * (len(nodes) - len(poly.coeffs))
-    for mine, ref in zip(padded, reference):
-        if not values_equal(mine, ref):
-            _verify_fail("coefficients disagree with the elimination oracle")
+    if padded != reference:
+        _verify_fail("coefficients disagree with the elimination oracle")
 
 
 def _verify_sigma(nodes, table, deflated):
@@ -265,10 +255,10 @@ def _verify_sigma(nodes, table, deflated):
     so the monic P is prod(x - a_i).  Row i has p entries and
     (x - a_i) * D_i(x) = P(x) coefficientwise, that is
     sigma(t) = D_i(t) + a_i * D_i(t-1) with D_i(-1) = D_i(p) = 0; division
-    by x - a_i is unique, so that proves the row.  On exact values the
-    identity runs in ints: with sigma = S / L, D_i = R / M and
-    a_i = n / d, it reads S(t) M d = L (d R(t) + n R(t-1)), with both
-    sides divided by gcd(L, M d).
+    by x - a_i is unique, so that proves the row.  The identity runs in
+    ints: with sigma = S / L, D_i = R / M and a_i = n / d, it reads
+    S(t) M d = L (d R(t) + n R(t-1)), with both sides divided by
+    gcd(L, M d).
     """
     p = len(nodes)
     sigma = table.sigma
@@ -281,22 +271,18 @@ def _verify_sigma(nodes, table, deflated):
         return
     if len(deflated) != p:
         _verify_fail(f"{len(deflated)} deflated rows for {p} nodes")
-    exact = all(isinstance(x, (int, Fraction)) for x in chain(nodes, sigma, *deflated))
-    if exact:
-        sigma_den, sigma = _over_common_denominator(sigma)
+    sigma_den, sigma = _over_common_denominator(sigma)
     for i, (a, row) in enumerate(zip(nodes, deflated)):
         if len(row) != p:
             _verify_fail(f"deflated row {i} has {len(row)} entries, not {p}")
         # sigma(t) * scale = lead * D_i(t) + trail * D_i(t-1)
-        scale, lead, trail = 1, 1, a
-        if exact:
-            row_den, row = _over_common_denominator(row)
-            g = math.gcd(sigma_den, row_den * a.denominator)
-            scale = row_den * a.denominator // g
-            lead, trail = (sigma_den // g) * a.denominator, (sigma_den // g) * a.numerator
+        row_den, row = _over_common_denominator(row)
+        g = math.gcd(sigma_den, row_den * a.denominator)
+        scale = row_den * a.denominator // g
+        lead, trail = (sigma_den // g) * a.denominator, (sigma_den // g) * a.numerator
         padded = (0, *row, 0)
         for t in range(p + 1):
-            if not values_equal(sigma[t] * scale, lead * padded[t + 1] + trail * padded[t]):
+            if sigma[t] * scale != lead * padded[t + 1] + trail * padded[t]:
                 _verify_fail(f"deflated row {i} times (x - {a}) misses sigma({t})")
 
 
@@ -484,7 +470,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--csv", help="CSV file: node[,value] per row, header optional")
     common.add_argument("--json", help='JSON file: {"nodes": [...], "values": [...], "n": ...}')
     common.add_argument("--float", action="store_true",
-                        help="machine doubles instead of exact rationals")
+                        help="render results as correctly rounded doubles")
     common.add_argument("--verify", action="store_true",
                         help="re-check the result: residuals at every node, "
                              "certificates, an elimination cross-check")

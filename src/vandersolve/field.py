@@ -2,18 +2,17 @@
 
 The exact lane works on `fractions.Fraction` values: arbitrary-precision,
 always in lowest terms with a positive denominator, so overflow is
-impossible and equality is decidable.  The closed forms take ints and
-Fractions alike, run on the int numerators and denominators of the nodes
-(`symfuncs.homogeneous`) and build one Fraction per output.  The elimination oracle takes the same
-scalars by a path of its own: it scales each augmented row to primitive
-ints, eliminates fraction-free and builds one Fraction per output.  Every
-other scalar type (floats, `CountingNumber`) runs the generic
+impossible and equality is decidable.  `parse_scalar` reads every
+literal exactly, whatever the CLI's output format.  The closed forms
+take ints and Fractions alike, run on the int numerators and
+denominators of the nodes (`symfuncs.homogeneous`) and build one
+Fraction per output.  The elimination oracle takes the same scalars by
+a path of its own: it scales each augmented row to primitive ints,
+eliminates fraction-free and builds one Fraction per output.  Every
+other scalar type (library floats, `CountingNumber`) runs the generic
 elimination, with plain ints as the identities 0 and 1; `exact_div`
 keeps a quotient of two ints rational there.  `Polynomial.evaluate` also
-runs Horner's scheme in ints when the scalars are exact.  The float lane
-uses machine doubles; the CLI's elimination cross-check and sigma
-certificate compare through `values_equal`, which falls back to a
-tolerance comparison, and residuals through `poly.first_miss`.
+runs Horner's scheme in ints when the scalars are exact.
 
 `CountingNumber` wraps a scalar and tallies every arithmetic operation into
 a shared `OpCounter`; it divides through `exact_div`, so wrapped ints
@@ -21,39 +20,23 @@ stay rational.  It exists for complexity diagnostics only and never
 appears in public results.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-Scalar = Fraction | float | int
 
 
 class ScalarParseError(ValueError):
     """A literal that is neither "p/q", an integer nor a decimal."""
 
 
-def parse_scalar(text: str, float_mode: bool = False) -> Scalar:
-    """Parse "p/q", "p" or a decimal literal.
-
-    Exact mode returns a Fraction (decimal literals convert exactly);
-    float mode returns a finite machine double.
-    """
+def parse_scalar(text: str) -> Fraction:
+    """Parse "p/q", "p" or a decimal literal into an exact Fraction."""
     literal = text.strip()
     if not literal:
         raise ScalarParseError("empty scalar literal")
     try:
-        value = Fraction(literal)
+        return Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
         raise ScalarParseError(f"cannot parse scalar {literal!r}") from exc
-    if not float_mode:
-        return value
-    try:
-        result = float(value)
-    except OverflowError as exc:
-        raise ScalarParseError(f"scalar {literal!r} overflows a double") from exc
-    if not math.isfinite(result):
-        raise ScalarParseError(f"scalar {literal!r} is not finite in float mode")
-    return result
 
 
 def exact_div(x, y):
@@ -65,13 +48,6 @@ def exact_div(x, y):
     if isinstance(x, int) and isinstance(y, int):
         return Fraction(x, y)
     return x / y
-
-
-def values_equal(x, y, rel_tol: float = 1e-9, abs_tol: float = 1e-12) -> bool:
-    """Exact equality, except when floats are involved (diagnostic paths only)."""
-    if isinstance(x, float) or isinstance(y, float):
-        return math.isclose(x, y, rel_tol=rel_tol, abs_tol=abs_tol)
-    return x == y
 
 
 @dataclass

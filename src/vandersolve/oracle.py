@@ -4,7 +4,8 @@ Naive on purpose, exact over rationals, and sharing no code with the
 closed-form solvers: subset enumeration for the symmetric coefficients,
 Gaussian elimination for solve and rank, and Laplace expansion for
 determinants.  The tests use all of them; the CLI's --verify uses the
-elimination only, to cross-check `interpolate`.
+elimination only, to cross-check `interpolate`, on exact scalars in
+every output format.
 
 `gaussian_solve` has two paths, chosen by scalar type only.  When every
 entry of the matrix and the right-hand side is an int or a Fraction it
@@ -19,8 +20,8 @@ bits and the content left after the update averages a few bits, not
 worth a full-row gcd; on dense integer matrices g is short, and the row
 carries the Sylvester factor that Bareiss's elimination divides out,
 which the gcd removes before it compounds.  Only this path skips a row
-whose multiplier a_rk is zero.  `solve_by_elimination` hands exact
-nodes and values over as integer rows, with no `build_matrix`.  Every
+whose multiplier a_rk is zero.  `solve_by_elimination` takes exact
+nodes and values only and hands them over as integer rows.  Every
 other scalar type (floats, `CountingNumber`) runs the generic
 elimination with first-nonzero pivoting, which does every update, so its
 operation count depends only on the matrix size; the bench's op counts
@@ -34,7 +35,7 @@ from fractions import Fraction
 from itertools import chain, combinations
 
 from .field import exact_div
-from .vandermonde import DenseMatrix, build_matrix
+from .vandermonde import DenseMatrix
 
 
 class SingularMatrixError(ArithmeticError):
@@ -140,17 +141,15 @@ def _integer_solve(m: DenseMatrix, q) -> list:
 def solve_by_elimination(nodes, q) -> list:
     """gaussian_solve on the explicit square Vandermonde matrix of the nodes.
 
-    Exact nodes and values (ints and Fractions) skip `build_matrix`: with
-    a_i = n_i / d_i, row i is built in ints as the Vandermonde row times
-    d_i^(p-1), that is (d_i^(p-1), n_i d_i^(p-2), ..., n_i^(p-1)), with
-    the value q_i d_i^(p-1).  Scaling a row leaves the solution alone.
+    Nodes and values are ints and Fractions.  With a_i = n_i / d_i, row i
+    is built in ints as the Vandermonde row times d_i^(p-1), that is
+    (d_i^(p-1), n_i d_i^(p-2), ..., n_i^(p-1)), with the value
+    q_i d_i^(p-1).  Scaling a row leaves the solution alone.
     """
     nodes = list(nodes)
     p = len(nodes)
     if len(q) != p:
         raise ValueError(f"{p} equations but {len(q)} values")
-    if not all(isinstance(x, (int, Fraction)) for x in chain(nodes, q)):
-        return gaussian_solve(build_matrix(nodes, p), q)
     entries = []
     values = []
     for a, y in zip(nodes, q):

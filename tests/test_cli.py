@@ -1,9 +1,11 @@
 """CLI contract: frozen JSON payloads, exit codes, file inputs and outputs."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -258,6 +260,24 @@ def test_json_with_byte_order_mark(tmp_path, capsys):
     assert out == '{"coefficients":["1","1"],"degree":1}\n'
 
 
+def test_csv_invalid_utf8_is_exit_one(tmp_path, capsys):
+    path = tmp_path / "points.csv"
+    path.write_bytes(b"node,value\n0,1\n1\xe9,2\n")  # a Latin-1 byte in a data row
+    code, out, err = run_cli(capsys, "interpolate", "--csv", str(path))
+    assert code == 1
+    assert out == ""
+    assert f"cannot read {path}" in err
+
+
+def test_json_invalid_utf8_is_exit_one(tmp_path, capsys):
+    path = tmp_path / "points.json"
+    path.write_bytes(b'\xff\xfe{"nodes": ["0", "1"], "values": ["1", "2"]}')  # UTF-16 mark
+    code, out, err = run_cli(capsys, "interpolate", "--json", str(path))
+    assert code == 1
+    assert out == ""
+    assert f"cannot read {path}" in err
+
+
 def test_csv_single_column_feeds_sigma(tmp_path, capsys):
     path = tmp_path / "nodes.csv"
     path.write_text("1\n2\n3\n", encoding="utf-8")
@@ -355,7 +375,7 @@ def test_verify_happy_paths(capsys):
         ("sigma", "--nodes", "1,2,3", "--deflated", "--verify"),
         ("kernel", "--nodes", "2", "--n", "3", "--verify"),
         ("kernel", "--nodes", "1,-2,3/2", "--n", "6", "--verify"),
-        # float residuals near 1e-10 against Horner terms near 1e8
+        # --float renders the basis; --verify checks the exact one
         ("kernel", "--float", "--nodes", "0.1,0.7,33.3,100.9", "--n", "6", "--verify"),
     ):
         code, out, err = run_cli(capsys, *argv)
@@ -363,15 +383,92 @@ def test_verify_happy_paths(capsys):
         assert json.loads(out)["verified"] is True
 
 
-def test_float_verify_still_reports_lost_accuracy(capsys):
-    # relative residual 1.5e-8 on nodes 1..12: the deflation subtraction cancels
-    nodes = ",".join(str(i) for i in range(1, 13))
-    values = ",".join(str(i + 1) for i in range(1, 13))
-    code, out, err = run_cli(capsys, "solve", "--float", "--verify", "--nodes", nodes,
-                             "--values", values)
-    assert code == 4
-    assert out == ""
-    assert "particular solution misses its value" in err
+def _grid(first: int, last: int) -> str:
+    return ",".join(str(i) for i in range(first, last + 1))
+
+
+def _rounded(payload):
+    """The exact payload with every rational string replaced by its double."""
+    if isinstance(payload, str):
+        return float(Fraction(payload))
+    if isinstance(payload, list):
+        return [_rounded(x) for x in payload]
+    if isinstance(payload, dict):
+        return {key: _rounded(value) for key, value in payload.items()}
+    return payload
+
+
+# On doubles the deflation subtraction cancels on these grids; --float
+# solves and verifies exactly and rounds only the output.
+@pytest.mark.parametrize("argv", [
+    ("solve", "--nodes", _grid(1, 12), "--values", _grid(2, 13)),
+    ("interpolate", "--nodes", _grid(1, 25), "--values", _grid(2, 26)),
+    ("sigma", "--deflated", "--nodes", _grid(1, 20)),
+], ids=["solve-grid-12", "interpolate-grid-25", "sigma-deflated-grid-20"])
+def test_float_verify_passes_on_integer_grids(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--float", "--verify")
+    assert code == 0, err
+    exact_code, exact_out, _ = run_cli(capsys, *argv)
+    assert exact_code == 0
+    assert json.loads(out) == {**_rounded(json.loads(exact_out)), "verified": True}
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("--nodes", "1000.5,2000.5,3000.5", "--values", "7,7,7"),
+     '{"coefficients":[7.0],"degree":0}\n'),
+    (("--nodes", "1e999", "--values", "2"), '{"coefficients":[2.0],"degree":0}\n'),
+], ids=["degree-from-exact-result", "node-beyond-double-range"])
+def test_float_renders_the_exact_interpolant(capsys, argv, expected):
+    code, out, err = run_cli(capsys, "interpolate", "--float", *argv)
+    assert code == 0, err
+    assert out == expected
+
+
+def _run_quietly(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+
+
+@st.composite
+def cli_problems(draw) -> list:
+    """argv for interpolate, solve (square, wide, tall), kernel or sigma --deflated."""
+    kind = draw(st.sampled_from(["interpolate", "square", "wide", "tall", "kernel", "sigma"]))
+    nodes = draw(st.lists(rationals, min_size=1 + (kind == "tall"), max_size=7, unique=True))
+    p = len(nodes)
+    argv = ["--nodes=" + ",".join(map(str, nodes))]
+    if kind == "sigma":
+        return ["sigma", "--deflated", *argv]
+    if kind == "kernel":
+        return ["kernel", *argv, "--n", str(p + draw(st.integers(0, 3)))]
+    n = p
+    if kind == "wide":
+        n = p + draw(st.integers(1, 3))
+    elif kind == "tall":
+        n = draw(st.integers(1, p - 1))
+    if kind == "tall" and draw(st.booleans()):  # consistent: degree below n
+        poly = Polynomial(tuple(draw(st.lists(rationals, min_size=n, max_size=n))))
+        values = [poly.evaluate(a) for a in nodes]
+    else:
+        values = draw(st.lists(rationals, min_size=p, max_size=p))
+    argv.append("--values=" + ",".join(map(str, values)))
+    if kind == "interpolate":
+        return ["interpolate", *argv]
+    return ["solve", *argv, "--n", str(n)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(cli_problems())
+def test_float_output_is_the_rounded_exact_output(argv):
+    exact_code, exact_out, _ = _run_quietly(argv + ["--verify"])
+    code, out, err = _run_quietly(argv + ["--float", "--verify"])
+    assert code != 4, err
+    assert code == exact_code
+    assert json.loads(out) == _rounded(json.loads(exact_out))
 
 
 def _bump_first(coeffs) -> tuple:
