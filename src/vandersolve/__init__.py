@@ -1,7 +1,8 @@
 """Closed-form solvers for square and generalized Vandermonde systems.
 
-Everything mathematical runs over exact rationals; a float lane exists for
-the complexity benchmark.  See the README for the CLI.
+Everything mathematical runs over exact rationals: nodes and values are
+ints or Fractions, and floats raise TypeError (`field.exact_scalar`).  A
+float lane exists for the complexity benchmark.  See the README for the CLI.
 """
 
 from .field import (
@@ -26,9 +27,7 @@ from .symfuncs import (
     DuplicateNodeError,
     NodeSet,
     SigmaTable,
-    check_root_identity,
     compute_sigma,
-    deflate,
     deflate_all,
     poly_from_roots,
 )
@@ -59,10 +58,8 @@ __all__ = [
     "ScalarParseError",
     "SigmaTable",
     "build_matrix",
-    "check_root_identity",
     "compute_sigma",
     "counting",
-    "deflate",
     "deflate_all",
     "determinant",
     "interpolate",

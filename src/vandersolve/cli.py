@@ -22,6 +22,7 @@ mean a bug with or without --float.
 
 import argparse
 import csv
+import decimal
 import functools
 import json
 import math
@@ -102,7 +103,11 @@ def _dimension(n: int) -> int:
 def _render(x, problem: ProblemInput):
     """The exact result as a string, or under --float its correctly rounded double."""
     if not problem.float_output:
-        return str(x)
+        try:
+            return str(x)
+        except ValueError:  # more digits than sys.get_int_max_str_digits(); Decimal has no limit
+            n, d = (str(decimal.Decimal(i)) for i in (x.numerator, x.denominator))
+            return n if d == "1" else f"{n}/{d}"
     try:
         return float(x)
     except OverflowError:

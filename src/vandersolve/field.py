@@ -1,18 +1,18 @@
-"""Scalar parsing, exact division and operation counting.
+"""The scalar contract: parsing, the exact-scalar gate, exact division, op counting.
 
-The exact lane works on `fractions.Fraction` values: arbitrary-precision,
-always in lowest terms with a positive denominator, so overflow is
-impossible and equality is decidable.  `parse_scalar` reads every
-literal exactly, whatever the CLI's output format.  The closed forms
-take ints and Fractions alike, run on the int numerators and
-denominators of the nodes (`symfuncs.homogeneous`) and build one
-Fraction per output.  The elimination oracle takes the same scalars by
-a path of its own: it scales each augmented row to primitive ints,
-eliminates fraction-free and builds one Fraction per output.  Every
-other scalar type (library floats, `CountingNumber`) runs the generic
-elimination, with plain ints as the identities 0 and 1; `exact_div`
-keeps a quotient of two ints rational there.  `Polynomial.evaluate` also
-runs Horner's scheme in ints when the scalars are exact.
+The library solves over `fractions.Fraction` values: arbitrary-precision,
+always in lowest terms, so overflow is impossible and equality is
+decidable.  `exact_scalar` is the one gate, run where nodes enter a
+`NodeSet` and values enter `solve_square` or `solve_overdetermined`:
+ints and Fractions pass, other integers (numpy's, bool) become ints, and
+every other type (float, `Decimal`, str) raises TypeError, since only
+the caller knows whether 0.1 means its binary value or 1/10.
+`parse_scalar` reads every literal exactly, whatever the CLI's output
+format.  After the gate, `is_exact` picks the path: the closed forms,
+the elimination oracle and `Polynomial.evaluate` run in ints on exact
+scalars, and `CountingNumber` runs their generic code, with plain ints
+as the identities 0 and 1; `exact_div` keeps a quotient of two ints
+rational there.
 
 `CountingNumber` wraps a scalar and tallies every arithmetic operation into
 a shared `OpCounter`; it divides through `exact_div`, so wrapped ints
@@ -20,8 +20,15 @@ stay rational.  It exists for complexity diagnostics only and never
 appears in public results.
 """
 
+import numbers
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+
+# The exponent of a decimal literal, as `Fraction` reads it.
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\Z")
 
 
 class ScalarParseError(ValueError):
@@ -29,10 +36,21 @@ class ScalarParseError(ValueError):
 
 
 def parse_scalar(text: str) -> Fraction:
-    """Parse "p/q", "p" or a decimal literal into an exact Fraction."""
+    """Parse "p/q", "p" or a decimal literal into an exact Fraction.
+
+    `Fraction` builds 10**e in full, so a decimal exponent is bounded like
+    the digits of an int literal, by `sys.get_int_max_str_digits()`.
+    """
     literal = text.strip()
     if not literal:
         raise ScalarParseError("empty scalar literal")
+    limit = sys.get_int_max_str_digits()
+    exponent = _EXPONENT.search(literal)
+    if limit and exponent:
+        digits = exponent.group(1).replace("_", "").lstrip("0")
+        if len(digits) > len(str(limit)) or int(digits or "0") > limit:
+            raise ScalarParseError(
+                f"exponent of {literal[:40]!r} exceeds {limit} in magnitude")
     try:
         return Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
@@ -137,3 +155,25 @@ class CountingNumber:
 def counting(values, counter: OpCounter) -> list:
     """Wrap a sequence of scalars for instrumentation."""
     return [CountingNumber(v, counter) for v in values]
+
+
+def exact_scalar(x):
+    """x as the solvers take it: an int, a Fraction or a CountingNumber.
+
+    Ints and Fractions come back unchanged and any other integer (numpy
+    integers, bool) as an int; a `CountingNumber` passes through for op
+    counting.  Everything else raises TypeError.
+    """
+    if type(x) is int or isinstance(x, (Fraction, CountingNumber)):
+        return x
+    if isinstance(x, numbers.Integral):
+        return int(x)
+    raise TypeError(
+        f"{type(x).__name__} {x!r} is not an exact scalar: pass an int or a "
+        f"Fraction, such as Fraction(x) for a float's binary value or "
+        f"Fraction(str(x)) for its decimal reading")
+
+
+def is_exact(*sequences) -> bool:
+    """True when every scalar is an int or a Fraction: the exact path applies."""
+    return all(isinstance(x, (int, Fraction)) for x in chain(*sequences))

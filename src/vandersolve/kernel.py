@@ -10,6 +10,7 @@ reported value, not an exception.
 
 from dataclasses import dataclass
 
+from .field import exact_scalar
 from .poly import Polynomial, first_miss
 from .symfuncs import NodeSet, poly_from_roots
 from .vandermonde import DimensionMismatchError, solve_square
@@ -112,16 +113,18 @@ class OverdeterminedResult:
 def solve_overdetermined(nodes: NodeSet, q, n: int) -> OverdeterminedResult:
     """Solve on the first n nodes, then check the remaining equations.
 
-    Exact comparison in the exact lane; tolerance comparison for floats.
-    Inconsistency comes back as a value, never as an exception.
+    Each value passes `field.exact_scalar`, and the remaining equations
+    are compared exactly.  Inconsistency comes back as a value, never as
+    an exception.
     """
     p = len(nodes)
     if len(q) != p:
         raise DimensionMismatchError(f"{p} nodes but {len(q)} values")
     if p <= n:
         raise ValueError("system is not overdetermined; use solve_general")
+    q = [exact_scalar(x) for x in q]
     head = NodeSet(nodes.nodes[:n])
-    w = solve_square(head, list(q[:n]))
+    w = solve_square(head, q[:n])
     miss = first_miss(Polynomial(tuple(w)), nodes, q, start=n)
     if miss is not None:
         r, lhs = miss

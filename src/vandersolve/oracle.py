@@ -7,8 +7,9 @@ determinants.  The tests use all of them; the CLI's --verify uses the
 elimination only, to cross-check `interpolate`, on exact scalars in
 every output format.
 
-`gaussian_solve` has two paths, chosen by scalar type only.  When every
-entry of the matrix and the right-hand side is an int or a Fraction it
+`gaussian_solve` has two paths, chosen by `field.is_exact` only.  When
+every entry of the matrix and the right-hand side is an int or a
+Fraction it
 eliminates fraction-free: each augmented row is scaled to primitive
 integers (no common factor), the pivot is the nonzero candidate of
 smallest magnitude and is made primitive when chosen, a row update is
@@ -22,19 +23,20 @@ carries the Sylvester factor that Bareiss's elimination divides out,
 which the gcd removes before it compounds.  Only this path skips a row
 whose multiplier a_rk is zero.  `solve_by_elimination` takes exact
 nodes and values only and hands them over as integer rows.  Every
-other scalar type (floats, `CountingNumber`) runs the generic
-elimination with first-nonzero pivoting, which does every update, so its
-operation count depends only on the matrix size; the bench's op counts
-are defined by that path.  Both paths raise the same
+other scalar type (`CountingNumber`, and floats, which this module takes
+ungated as the reference for the bench's float elimination) runs the
+generic elimination with first-nonzero pivoting, which does every
+update, so its operation count depends only on the matrix size; the
+bench's op counts are defined by that path.  Both paths raise the same
 `SingularMatrixError`: whether column k has a pivot depends only on the
 rank of the leading k + 1 columns, not on the pivots chosen before it.
 """
 
 import math
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 
-from .field import exact_div
+from .field import exact_div, is_exact
 from .vandermonde import DenseMatrix
 
 
@@ -58,7 +60,7 @@ def gaussian_solve(m: DenseMatrix, q) -> list:
     n = m.rows
     if len(q) != n:
         raise ValueError(f"{n} equations but {len(q)} values")
-    if all(isinstance(x, (int, Fraction)) for x in chain(m.entries, q)):
+    if is_exact(m.entries, q):
         return _integer_solve(m, q)
     a = m.to_rows()
     b = list(q)

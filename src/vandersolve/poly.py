@@ -1,10 +1,11 @@
 """Dense polynomials as ascending coefficient vectors.
 
 `Polynomial.evaluate` runs Horner's scheme on the scalars' own operators,
-except when every coefficient and x is an int or a Fraction: then it
-evaluates in ints, with the coefficients over their common denominator
-(cached per polynomial) and x = a/b homogenised, and builds one Fraction
-at the end.  Floats and `CountingNumber` take the generic loop.
+except when every coefficient and x is an int or a Fraction
+(`field.is_exact`): then it evaluates in ints, with the coefficients over
+their common denominator (cached per polynomial) and x = a/b
+homogenised, and builds one Fraction at the end.  Any other scalar
+(`CountingNumber`, a float) takes the generic loop.
 """
 
 import math
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-REL_TOL = 1e-9  # float residuals, relative to the Horner magnitude
+from .field import is_exact
 
 
 def _trimmed(coeffs) -> tuple:
@@ -47,7 +48,7 @@ class Polynomial:
         D is the lcm of the coefficient denominators, N the numerators over
         D, and ints tells whether every coefficient is an int.
         """
-        if not all(isinstance(c, (int, Fraction)) for c in self.coeffs):
+        if not is_exact(self.coeffs):
             return None
         den = math.lcm(*(c.denominator for c in self.coeffs))
         nums = tuple(c.numerator * (den // c.denominator) for c in self.coeffs)
@@ -60,7 +61,7 @@ class Polynomial:
         of N_k a^k b^(d-k) by homogeneous Horner in ints, over D b^d: one
         Fraction per call, or an int where the generic loop gives one.
         """
-        lifted = self._integer_form if isinstance(x, (int, Fraction)) else None
+        lifted = self._integer_form if is_exact((x,)) else None
         if lifted is None:
             acc = 0
             for c in reversed(self.coeffs):
@@ -87,27 +88,11 @@ def first_miss(poly: Polynomial, nodes, values, start: int = 0):
     """First node where the polynomial misses its value, or None.
 
     Returns (i, poly(nodes[i])) for the lowest i >= start whose value
-    differs from values[i].  Exact comparison for rationals.  With floats
-    the residual may be REL_TOL times the Horner magnitude
-    sum |c_k| * |x|^k, which bounds the rounding error of the evaluation
-    whatever the size of its terms; a NaN or overflowed residual, or an
-    overflowed magnitude, is a miss.  One Horner evaluation per node.
+    differs from values[i].  The comparison is exact: one Horner
+    evaluation per node and `!=`.
     """
     for i in range(start, len(nodes)):
-        x, want = nodes[i], values[i]
-        lhs = poly.evaluate(x)
-        if isinstance(lhs, float) or isinstance(want, float):
-            tol = REL_TOL * _magnitude(poly.coeffs, abs(x))
-            if not abs(lhs - want) <= tol < math.inf:
-                return i, lhs
-        elif lhs != want:
+        lhs = poly.evaluate(nodes[i])
+        if lhs != values[i]:
             return i, lhs
     return None
-
-
-def _magnitude(coeffs, r):
-    """sum |c_k| * r^k by Horner's scheme."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * r + abs(c)
-    return acc

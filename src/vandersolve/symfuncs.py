@@ -3,32 +3,33 @@
 sigma(t) is the sum of all products of t distinct nodes (sigma(0) = 1,
 sigma(t) = 0 beyond the node count).  `compute_sigma` fills the whole row
 in one triangular pass of exactly p(p+1)/2 multiply-add steps, updating a
-single array in place with the inner index descending.  `deflate` removes
-one node again in p-1 linear-time steps via
+single array in place with the inner index descending.  `deflate_all`
+removes each node again in p-1 linear-time steps via
 
     deflated(t) = sigma(t) - a * deflated(t-1)
 
-which is exact over rationals; over floats the subtraction cancels badly,
-so the float lane uses it for cost measurement only.
+which is exact over rationals; over doubles the subtraction cancels
+badly, so the float lane (`bench`) uses it for cost measurement only.
 
-Exact nodes (every node an int or a Fraction) never reach these passes as
-Fractions: each node is taken in its own homogeneous coordinates,
-a_k = n_k / d_k in lowest terms, and the passes build the int
-coefficients S of P(x) = prod(d_k x + n_k) instead, so sigma(t) =
+A `NodeSet` holds exact scalars only (`field.exact_scalar`): ints and
+Fractions, or `CountingNumber` for op counting.  Exact nodes never reach
+these passes as Fractions: each node is taken in its own homogeneous
+coordinates, a_k = n_k / d_k in lowest terms, and the passes build the
+int coefficients S of P(x) = prod(d_k x + n_k) instead, so sigma(t) =
 S_t / prod d_k.  Node k turns the row into S_t <- d_k S_t + n_k S_(t-1),
 and the row of P / (d_j x + n_j) is H_t = (S_t - n_j H_(t-1)) / d_j, an
 exact division.  No gcd runs anywhere, and no entry exceeds
 prod(|n_k| + d_k).  A node with d_k = 1 takes the plain step above, so
-integer grids run the same pass as every other scalar type (floats,
-`CountingNumber`), which is the path the op-count tests pin.
+integer grids run the same pass as `CountingNumber`, which is the path
+the op-count tests pin.
 `SigmaTable.sigma` and `.deflated` divide the stored rows out on read.
 """
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 
+from .field import exact_scalar, is_exact
 from .poly import Polynomial
 
 
@@ -47,13 +48,14 @@ class NodeSet:
     """Ordered, pairwise-distinct abscissae.
 
     Order is preserved as given: it fixes the row order of every matrix
-    built from the set.
+    built from the set.  Each node passes `field.exact_scalar`, so a
+    float or a `Decimal` raises TypeError.
     """
 
     nodes: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
+        object.__setattr__(self, "nodes", tuple(map(exact_scalar, self.nodes)))
         if not self.nodes:
             raise ValueError("a NodeSet needs at least one node")
         seen = {}
@@ -74,12 +76,6 @@ class NodeSet:
 
     def __getitem__(self, index):
         return self.nodes[index]
-
-    def without(self, index: int) -> "NodeSet":
-        """Copy with node `index` removed (needs at least two nodes)."""
-        if not 0 <= index < len(self.nodes):
-            raise IndexError(f"node index {index} out of range")
-        return NodeSet(self.nodes[:index] + self.nodes[index + 1:])
 
 
 @dataclass(frozen=True)
@@ -114,20 +110,6 @@ class SigmaTable:
             return None
         return tuple(_normalized(row) for row in self.rows)
 
-    def sigma_at(self, t: int):
-        """Total accessor: zero outside 0..p."""
-        if 0 <= t <= self.p:
-            return self.sigma[t]
-        return 0
-
-    def deflated_at(self, i: int, t: int):
-        """Deflated coefficient of row i, zero outside 0..p-1."""
-        if self.rows is None:
-            raise ValueError("deflated rows not computed; call deflate_all first")
-        if 0 <= t < self.p:
-            return self.deflated[i][t]
-        return 0
-
 
 def _normalized(row) -> tuple:
     """row / row[0]: the row itself when row[0] is 1, else Fractions."""
@@ -135,11 +117,6 @@ def _normalized(row) -> tuple:
     if head == 1:
         return row
     return tuple(Fraction(c, head) for c in row)
-
-
-def is_exact(*sequences) -> bool:
-    """True when every scalar is an int or a Fraction: the exact path applies."""
-    return all(isinstance(x, (int, Fraction)) for x in chain(*sequences))
 
 
 def homogeneous(nodes: NodeSet) -> list:
@@ -177,15 +154,6 @@ def _quotient(s, n, d) -> tuple:
     return tuple(row)
 
 
-def deflate(table: SigmaTable, index: int) -> tuple:
-    """Coefficients of the set with node `index` removed, in linear time."""
-    p = table.p
-    if not 0 <= index < p:
-        raise IndexError(f"node index {index} out of range for p={p}")
-    n, d = homogeneous(table.nodes)[index]
-    return _normalized(_quotient(table.coeffs, n, d))
-
-
 def deflate_all(table: SigmaTable) -> SigmaTable:
     """New table with all p deflated rows filled (quadratic total work).
 
@@ -214,15 +182,3 @@ def poly_from_roots(nodes: NodeSet) -> Polynomial:
         return Polynomial(tuple(_signed(s[p - i], p - i) for i in range(p + 1)))
     return Polynomial(tuple(Fraction(_signed(s[p - i], p - i), s[0]) for i in range(p + 1)))
 
-
-def check_root_identity(table: SigmaTable, a):
-    """Signed power sum that vanishes exactly iff `a` is one of the nodes.
-
-    Equals the monic root-product polynomial evaluated at `a`, so off-node
-    inputs return prod(a - a_i).
-    """
-    p = table.p
-    acc = 1
-    for i in range(p - 1, -1, -1):
-        acc = acc * a + _signed(table.sigma[p - i], p - i)
-    return acc

@@ -8,8 +8,9 @@ every other node, divided by its denominator D_j; the solve sums those
 columns weighted by q_j / D_j, and `interpolate` wraps the result in a
 `Polynomial` (evaluate it with `Polynomial.evaluate`).
 
-Exact inputs (every node and value an int or a Fraction) stay in ints
-until one `Fraction(numerator, denominator)` per output.  With
+Inputs are exact scalars (`field.exact_scalar` gates the nodes in
+`NodeSet` and the values here): ints and Fractions stay in ints until
+one `Fraction(numerator, denominator)` per output.  With
 a_k = n_k / d_k, the table holds the int rows H_j of
 prod over k != j of (d_k x + n_k) (see `symfuncs`), and the column
 denominator becomes E_j = prod over k != j of (n_j d_k - n_k d_j).  The
@@ -17,11 +18,10 @@ factors prod over k != j of d_k cancel between the two, so inverse entry
 (i, j) is (-1)^(p-1-i) d_j^(p-1) H_j[p-1-i] / E_j.  The solve puts the
 values over one common denominator and the weights d_j^(p-1) / E_j over
 G = lcm(E_j), so each output coefficient is one integer dot product.
-Every other scalar type (floats, `CountingNumber`) runs the same passes
-generically on its own operators, with every d_k = 1 and E_j = D_j; the
-op-count tests pin that path.  Exact nodes with values of another type
-get that generic combine over the deflated rows and D_j.  The
-determinant is the plain product on every scalar type.
+`CountingNumber` nodes or values run the same passes generically on
+their own operators, with every d_k = 1 and E_j = D_j, the Lagrange
+basis denominator; the op-count tests pin that path.  The determinant
+is the plain product on every scalar type.
 
 `DenseMatrix` and `build_matrix` give the explicit matrix that the
 elimination oracle and the tests work on; no closed form uses them.
@@ -35,8 +35,9 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
+from .field import exact_scalar, is_exact
 from .poly import Polynomial
-from .symfuncs import NodeSet, compute_sigma, deflate_all, homogeneous, is_exact
+from .symfuncs import NodeSet, compute_sigma, deflate_all, homogeneous
 
 __all__ = [
     "DenseMatrix",
@@ -201,11 +202,12 @@ def solve_square(nodes: NodeSet, q) -> list:
 
     Quadratic cost overall: the sigma pass, p deflation rows, one
     denominator per column, and a final grid-vector sum.  No elimination
-    anywhere.
+    anywhere.  Each value passes `field.exact_scalar`.
     """
     n = len(nodes)
     if len(q) != n:
         raise DimensionMismatchError(f"{n} nodes but {len(q)} values")
+    q = [exact_scalar(x) for x in q]
     table = deflate_all(compute_sigma(nodes))
     if is_exact(nodes, q):
         pairs = homogeneous(nodes)

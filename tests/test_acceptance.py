@@ -60,9 +60,9 @@ def test_criterion_2_deflation_identity_suite():
     for ns in _sigma_node_sets():
         table = deflate_all(compute_sigma(ns))
         for i, a in enumerate(ns):
+            padded = (0, *table.deflated[i], 0)  # deflated rows are zero outside 0..p-1
             for t in range(len(ns) + 1):
-                assert table.sigma_at(t) == (
-                    table.deflated_at(i, t) + a * table.deflated_at(i, t - 1))
+                assert table.sigma[t] == padded[t + 1] + a * padded[t]
     _finish(2, "deflation recurrence identity", t0, 30)
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
@@ -205,6 +206,23 @@ def test_nonfinite_float_result_is_exit_two(capsys):
     assert code == 2
     assert out == ""
     assert "not finite" in err
+
+
+def test_results_beyond_the_int_string_limit_are_printed_in_full(capsys):
+    # 2 * 10**3000 * (x - 10**-3000) * x: str(int) refuses its 6001 digits
+    code, out, err = run_cli(capsys, "interpolate", "--nodes", "0,1e-3000,2e-3000",
+                             "--values", "0,0,1")
+    assert code == 0, err
+    assert json.loads(out) == {"coefficients": ["0", "-5" + "0" * 2999, "5" + "0" * 5999],
+                               "degree": 2}
+
+
+def test_huge_decimal_exponent_is_a_fast_parse_error(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "interpolate", "--nodes", "1e30000000", "--values", "1")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert "exponent" in err
 
 
 def test_overflowed_float_residual_is_not_consistent(capsys):

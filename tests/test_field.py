@@ -1,9 +1,13 @@
 """Scalar lane: parsing, exact arithmetic contracts, operation counting."""
 
 import math
+import sys
+import time
+from decimal import Decimal
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -13,6 +17,7 @@ from vandersolve.field import (
     ScalarParseError,
     counting,
     exact_div,
+    exact_scalar,
     parse_scalar,
 )
 
@@ -37,6 +42,39 @@ def test_parse_exact(text, expected):
 def test_parse_rejects_garbage(text):
     with pytest.raises(ScalarParseError):
         parse_scalar(text)
+
+
+def test_parse_bounds_the_decimal_exponent():
+    limit = sys.get_int_max_str_digits()
+    assert parse_scalar("1e-3000") == Fraction(1, 10**3000)
+    assert parse_scalar(f"2e{limit}") == 2 * 10**limit
+    for text in (f"1e{limit + 1}", f"1e-{limit + 1}", "1e1_000_000", "1E30000000",
+                 "1e" + "9" * 10000):
+        start = time.perf_counter()
+        with pytest.raises(ScalarParseError):
+            parse_scalar(text)
+        assert time.perf_counter() - start < 1
+
+
+# --- the exact-scalar gate --------------------------------------------------------
+
+
+def test_exact_scalars_pass_unchanged():
+    for x in (7, -3, Fraction(2, 3), CountingNumber(0.5, OpCounter())):
+        assert exact_scalar(x) is x
+
+
+@pytest.mark.parametrize("x", [np.int64(-5), np.uint8(200), np.int32(7), True])
+def test_other_integers_become_ints(x):
+    got = exact_scalar(x)
+    assert type(got) is int and got == x
+
+
+@pytest.mark.parametrize("x", [0.1, np.float64(1), Decimal("0.1"), "3", 1j])
+def test_inexact_scalars_are_refused(x):
+    with pytest.raises(TypeError) as err:
+        exact_scalar(x)
+    assert "Fraction(x)" in str(err.value) and "Fraction(str(x))" in str(err.value)
 
 
 def test_inv_examples():

@@ -229,6 +229,11 @@ def test_square_values_through_four_nodes():
     assert result.solution == (0, 0, 1)
 
 
+def test_float_value_in_the_checked_tail_raises_type_error():
+    with pytest.raises(TypeError, match="Fraction"):
+        solve_overdetermined(make_nodes(0, 1, 2), [F(1), F(2), 3.0], 2)
+
+
 def test_overdetermined_needs_more_equations_than_unknowns():
     with pytest.raises(ValueError, match="solve_general"):
         solve_overdetermined(make_nodes(1, 2), values(1, 2), 2)

@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -48,19 +47,15 @@ def test_first_miss_reports_lowest_miss_from_start():
     assert first_miss(p, nodes, [1, 0, 5, 6], start=1) == (2, 2)
 
 
-def test_first_miss_tolerates_float_rounding_only():
-    p = Polynomial((0.1, 0.2))
-    assert first_miss(p, [1.0], [0.30000000000000004 + 1e-15]) is None
-    assert first_miss(p, [1.0], [0.31]) is not None
-    # terms near 1e8 cancel at the roots: the tolerance scales with them
-    roots = (0.1, 0.7, 33.3, 100.9)
+def test_first_miss_compares_exactly():
+    p = Polynomial((Fraction(1, 10), Fraction(1, 5)))
+    assert first_miss(p, [1], [Fraction(3, 10)]) is None
+    assert first_miss(p, [1], [Fraction(3, 10) + Fraction(1, 10**30)]) == (0, Fraction(3, 10))
+    # terms near 1e8 cancel at the roots, exactly
+    roots = (Fraction(1, 10), Fraction(7, 10), Fraction(333, 10), Fraction(1009, 10))
     head = poly_from_roots(NodeSet(roots))
     assert first_miss(head, roots, [0] * 4) is None
-    assert first_miss(head, roots, [0, 0, 1, 0])[0] == 2
-    # an overflowed or NaN residual is a miss, never a pass
-    assert first_miss(Polynomial((0.0, 1e10)), [1e300], [5.0]) == (0, math.inf)
-    assert first_miss(Polynomial((1e308, 1e308)), [-1.0], [0.0]) is not None
-    assert first_miss(Polynomial((math.nan,)), [1.0], [0.0]) is not None
+    assert first_miss(head, roots, [0, 0, 1, 0]) == (2, 0)
 
 
 # --- integer Horner against the generic loop ------------------------------------------

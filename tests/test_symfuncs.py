@@ -12,9 +12,7 @@ from vandersolve.oracle import sigma_bruteforce
 from vandersolve.symfuncs import (
     DuplicateNodeError,
     NodeSet,
-    check_root_identity,
     compute_sigma,
-    deflate,
     deflate_all,
     poly_from_roots,
 )
@@ -45,10 +43,6 @@ def test_order_is_preserved():
     assert make_nodes(3, 1, 2).nodes == (3, 1, 2)
 
 
-def test_without_removes_one_node():
-    assert make_nodes(1, 2, 3).without(1).nodes == (1, 3)
-
-
 # --- compute_sigma -----------------------------------------------------------
 
 
@@ -67,15 +61,6 @@ def test_sigma_three_node_formulas(ns):
     assert compute_sigma(ns).sigma == (1, a + b + c, a * b + a * c + b * c, a * b * c)
 
 
-def test_sigma_at_is_total():
-    table = compute_sigma(make_nodes(1, 2))
-    assert table.sigma_at(0) == 1
-    assert table.sigma_at(2) == 2
-    assert table.sigma_at(3) == 0
-    assert table.sigma_at(99) == 0
-    assert table.sigma_at(-1) == 0
-
-
 @given(node_sets(max_size=8))
 def test_sigma_matches_subset_enumeration(ns):
     table = compute_sigma(ns)
@@ -89,47 +74,42 @@ def test_sigma_is_permutation_invariant(ns, data):
     assert compute_sigma(NodeSet(tuple(shuffled))).sigma == compute_sigma(ns).sigma
 
 
-# --- deflate -----------------------------------------------------------------
+# --- deflate_all -------------------------------------------------------------
 
 
 def test_deflate_first_node():
-    table = compute_sigma(make_nodes(1, 2, 3))
-    assert deflate(table, 0) == (1, 5, 6)
+    table = deflate_all(compute_sigma(make_nodes(1, 2, 3)))
+    assert table.deflated[0] == (1, 5, 6)
 
 
 def test_deflate_single_node_row():
-    table = compute_sigma(make_nodes(7))
-    assert deflate(table, 0) == (1,)
+    table = deflate_all(compute_sigma(make_nodes(7)))
+    assert table.deflated[0] == (1,)
 
 
 @given(node_sets(min_size=3, max_size=3))
 def test_deflate_three_node_formulas(ns):
     a, b, c = ns.nodes
-    table = compute_sigma(ns)
-    assert deflate(table, 0) == (1, b + c, b * c)
-
-
-@pytest.mark.parametrize("index", [-1, 3, 10])
-def test_deflate_rejects_bad_index(index):
-    table = compute_sigma(make_nodes(1, 2, 3))
-    with pytest.raises(IndexError):
-        deflate(table, index)
+    table = deflate_all(compute_sigma(ns))
+    assert table.deflated[0] == (1, b + c, b * c)
 
 
 @given(node_sets(min_size=2, max_size=8), st.data())
 def test_deflation_equals_recomputation_without_node(ns, data):
     i = data.draw(st.integers(min_value=0, max_value=len(ns) - 1))
-    table = compute_sigma(ns)
-    assert deflate(table, i) == compute_sigma(ns.without(i)).sigma
+    table = deflate_all(compute_sigma(ns))
+    rest = NodeSet(ns.nodes[:i] + ns.nodes[i + 1:])
+    assert table.deflated[i] == compute_sigma(rest).sigma
 
 
 @given(node_sets(max_size=8))
 def test_deflation_recurrence_identity(ns):
+    # sigma(t) = deflated(i, t) + a_i * deflated(i, t - 1), deflated zero outside 0..p-1
     table = deflate_all(compute_sigma(ns))
     for i, a in enumerate(ns):
+        padded = (0, *table.deflated[i], 0)
         for t in range(len(ns) + 1):
-            lhs = table.sigma_at(t)
-            assert lhs == table.deflated_at(i, t) + a * table.deflated_at(i, t - 1)
+            assert table.sigma[t] == padded[t + 1] + a * padded[t]
 
 
 def test_deflate_all_two_nodes():
@@ -174,21 +154,17 @@ def test_roots_really_are_roots(ns):
         assert p.evaluate(a) == 0
 
 
-@given(node_sets(max_size=8), st.data())
-def test_root_identity_vanishes_exactly_on_nodes(ns, data):
-    table = compute_sigma(ns)
-    a = data.draw(st.sampled_from(list(ns.nodes)))
-    assert check_root_identity(table, a) == 0
+@given(node_sets(max_size=8), small_fractions)
+def test_root_identity_vanishes_exactly_on_nodes(ns, a):
+    assert (poly_from_roots(ns).evaluate(a) == 0) == (a in ns.nodes)
 
 
 def test_root_identity_off_node_value():
-    table = compute_sigma(make_nodes(1, 2, 3))
-    assert check_root_identity(table, F(4)) == 6  # (4-1)(4-2)(4-3)
+    assert poly_from_roots(make_nodes(1, 2, 3)).evaluate(F(4)) == 6  # (4-1)(4-2)(4-3)
 
 
 def test_root_identity_single_node():
-    table = compute_sigma(make_nodes(5))
-    assert check_root_identity(table, F(5)) == 0
+    assert poly_from_roots(make_nodes(5)).evaluate(F(5)) == 0
 
 
 # --- step counts ---------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Square systems: closed-form determinant, inverse, solve, interpolation."""
 
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import example, given
 
@@ -329,14 +331,35 @@ def test_stored_integer_rows_stay_below_the_homogeneous_bound(nodes):
     assert all(type(x) is int and abs(x) <= bound for x in stored)
 
 
-def test_exact_nodes_with_float_values_take_the_generic_path():
-    # E_j passes 2**1024 at this size, so only the generic D_j fits a float
-    rng = random.Random(606)
-    ns = random_node_set(rng, 130)
-    q = [rng.uniform(-2, 2) for _ in range(130)]
-    ops = OpCounter()
-    want = solve_square(NodeSet(tuple(counting(ns.nodes, ops))), counting(q, ops))
-    assert solve_square(ns, q) == [x.value for x in want]
+def test_exact_nodes_with_float_values_raise_type_error():
+    with pytest.raises(TypeError, match="Fraction"):
+        solve_square(make_nodes(1, 2), [0.5, 1.5])
+
+
+@pytest.mark.parametrize("nodes", [(1.0, 2.0), (np.float64(1),), (F(1), Decimal("0.5"))])
+def test_inexact_nodes_raise_type_error(nodes):
+    with pytest.raises(TypeError, match="Fraction"):
+        NodeSet(nodes)
+
+
+@pytest.mark.parametrize("top", [21, 30])
+def test_numpy_integer_nodes_solve_exactly(top):
+    # int64 arithmetic on these nodes overflows from p = 21 on
+    grid = np.arange(1, top + 1)
+    q = [F(k * k + 1) for k in range(top)]
+    ns = NodeSet(tuple(grid))
+    assert all(type(a) is int for a in ns)
+    poly = interpolate(ns, q)
+    assert poly == interpolate(NodeSet(tuple(F(int(a)) for a in grid)), q)
+    assert poly.coeffs == (2, -2, 1)
+
+
+def test_numpy_integer_values_take_the_exact_path():
+    ns = random_node_set(random.Random(7), 24)
+    q = np.arange(10**17, 10**17 + 24, dtype=np.int64)
+    w = solve_square(ns, q)
+    assert w == solve_by_elimination(ns, [F(int(x)) for x in q])
+    assert all(type(x) is Fraction for x in w)
 
 
 # --- cost -------------------------------------------------------------------------
