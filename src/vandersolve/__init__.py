@@ -18,7 +18,6 @@ from .kernel import (
     OverdeterminedInputError,
     OverdeterminedResult,
     kernel_basis,
-    sample_solution,
     solve_general,
     solve_overdetermined,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "kernel_basis",
     "parse_scalar",
     "poly_from_roots",
-    "sample_solution",
     "solve_general",
     "solve_overdetermined",
     "solve_square",

@@ -5,7 +5,8 @@ on the same systems and reports exact field-operation counts alongside the
 wall-clock medians.  The counters tally the element-wise algorithms' exact
 operation multiset (the tests assert bit-equality with per-element
 instrumentation of the pure-Python paths); the kernels here run vectorized
-so the largest sizes stay affordable.
+so the largest sizes stay affordable.  `run_benchmark` returns the JSON
+payload of `vandersolve bench` itself.
 
 The closed form streams: it keeps one deflation column at a time and a
 running product for the column denominators, so it needs O(p) memory
@@ -24,42 +25,12 @@ size alone, never on the data.
 import math
 import statistics
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .field import OpCounter
 
 PANEL = 32  # columns per elimination panel
-
-
-@dataclass(frozen=True)
-class BenchConfig:
-    """Sweep settings: strictly increasing sizes, timed over repetitions."""
-
-    sizes: tuple
-    repetitions: int = 5
-
-    def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
-        if len(self.sizes) < 2:
-            raise ValueError("need at least two sizes")
-        if any(s < 1 for s in self.sizes):
-            raise ValueError("sizes must be positive")
-        if any(b <= a for a, b in zip(self.sizes, self.sizes[1:])):
-            raise ValueError("sizes must be strictly increasing")
-        if self.repetitions < 1:
-            raise ValueError("need at least one repetition")
-
-
-@dataclass(frozen=True)
-class BenchReport:
-    """Per-size time medians and op counts, plus the counts' log-log slope."""
-
-    sizes: tuple
-    times: tuple
-    op_counts: tuple
-    fit: float
 
 
 def bench_nodes(p: int) -> np.ndarray:
@@ -216,17 +187,17 @@ def loglog_slope(sizes, counts) -> float:
     return num / den
 
 
-def _sweep(config: BenchConfig, kernel, inputs) -> BenchReport:
-    """Median time of `kernel(*inputs(p), ops)` per size.
+def _sweep(sizes, repetitions: int, kernel, inputs) -> dict:
+    """Median time of `kernel(*inputs(p), ops)` per size, with the op counts and their slope.
 
     Op counts depend on the size alone, so each size's count is read from
     the counter of its first timed repetition.
     """
     times, counts = [], []
-    for p in config.sizes:
+    for p in sizes:
         args = inputs(p)
         samples = []
-        for rep in range(config.repetitions):
+        for rep in range(repetitions):
             ops = OpCounter()
             start = time.perf_counter()
             kernel(*args, ops)
@@ -234,15 +205,31 @@ def _sweep(config: BenchConfig, kernel, inputs) -> BenchReport:
             if rep == 0:
                 counts.append(ops.total)
         times.append(statistics.median(samples))
-    return BenchReport(tuple(config.sizes), tuple(times), tuple(counts),
-                       loglog_slope(config.sizes, counts))
+    return {"sizes": list(sizes), "times": times, "op_counts": counts,
+            "fit": loglog_slope(sizes, counts)}
 
 
-def run_benchmark(config: BenchConfig) -> dict:
-    """Both lanes on identical systems: {"closed_form": ..., "gaussian": ...}."""
+def run_benchmark(sizes, repetitions: int = 5) -> dict:
+    """Both lanes on identical systems, as the JSON payload of `vandersolve bench`.
+
+    Sizes must be at least two, positive and strictly increasing, each
+    timed over at least one repetition.  The payload maps "closed_form"
+    and "gaussian" to {"sizes", "times", "op_counts", "fit"}: the sizes,
+    the median seconds and the op count per size, and the counts'
+    log-log slope.
+    """
+    sizes = [int(s) for s in sizes]
+    if len(sizes) < 2:
+        raise ValueError("need at least two sizes")
+    if any(s < 1 for s in sizes):
+        raise ValueError("sizes must be positive")
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("sizes must be strictly increasing")
+    if repetitions < 1:
+        raise ValueError("need at least one repetition")
     return {
-        "closed_form": _sweep(config, solve_square_floats,
+        "closed_form": _sweep(sizes, repetitions, solve_square_floats,
                               lambda p: (bench_nodes(p), bench_values(p))),
-        "gaussian": _sweep(config, gaussian_solve_floats,
+        "gaussian": _sweep(sizes, repetitions, gaussian_solve_floats,
                            lambda p: (build_matrix_floats(bench_nodes(p), p), bench_values(p))),
     }

@@ -3,8 +3,9 @@
 Scalars arrive as "p/q" or decimal literals (inline flags, CSV or JSON
 files); results leave as compact JSON on stdout with stable key order, or
 as an aligned table with --pretty.  Every literal is parsed, solved and
-verified exactly; --float changes only the output format, rendering each
-exact result as its correctly rounded double.
+verified exactly, and each command returns its exact payload.  Results
+are rendered once, at output: as exact "p" or "p/q" strings, or under
+--float as their correctly rounded doubles.
 
 --verify re-evaluates every solution at every node, proves a kernel
 basis independent by its echelon of trailing ones, cross-checks
@@ -22,7 +23,6 @@ mean a bug with or without --float.
 
 import argparse
 import csv
-import decimal
 import functools
 import json
 import math
@@ -31,27 +31,21 @@ import sys
 from dataclasses import dataclass
 
 from . import oracle
-from .field import ScalarParseError, parse_scalar
-from .kernel import (
-    OverdeterminedInputError,
-    kernel_basis,
-    solve_general,
-    solve_overdetermined,
-)
+from .field import ScalarParseError, exact_str, parse_scalar
+from .kernel import kernel_basis, solve_general, solve_overdetermined
 from .poly import Polynomial, first_miss
-from .symfuncs import (
-    DuplicateNodeError,
-    NodeSet,
-    compute_sigma,
-    deflate_all,
-)
-from .vandermonde import DimensionMismatchError, interpolate
+from .symfuncs import NodeSet, compute_sigma, deflate_all
+from .vandermonde import interpolate
 
 EXIT_OK = 0
 EXIT_PARSE = 1
 EXIT_INVALID = 2
 EXIT_INCONSISTENT = 3
 EXIT_VERIFY = 4
+
+# Payload keys that hold exact results, rendered by `_emit`.
+EXACT_KEYS = frozenset(
+    ("coefficients", "particular", "kernel_basis", "sigma", "deflated", "lhs", "rhs"))
 
 
 class CliError(Exception):
@@ -72,12 +66,11 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 @dataclass
 class ProblemInput:
-    """One parsed problem: scalar literals, the ambient dimension, the output format."""
+    """One parsed problem: scalar literals and the ambient dimension."""
 
     nodes: list
     values: list | None = None
     n: int | None = None
-    float_output: bool = False  # --float: render exact results as doubles
 
 
 def _node_set(problem: ProblemInput) -> NodeSet:
@@ -98,26 +91,6 @@ def _dimension(n: int) -> int:
     if n < 1:
         raise CliError("need n >= 1", EXIT_INVALID)
     return n
-
-
-def _render(x, problem: ProblemInput):
-    """The exact result as a string, or under --float its correctly rounded double."""
-    if not problem.float_output:
-        try:
-            return str(x)
-        except ValueError:  # more digits than sys.get_int_max_str_digits(); Decimal has no limit
-            n, d = (str(decimal.Decimal(i)) for i in (x.numerator, x.denominator))
-            return n if d == "1" else f"{n}/{d}"
-    try:
-        return float(x)
-    except OverflowError:
-        # The exact value may have hundreds of digits: name the problem, not the value.
-        raise CliError("a result overflows a double and is not finite as a float; "
-                       "rerun without --float", EXIT_INVALID) from None
-
-
-def _render_vector(v, problem: ProblemInput) -> list:
-    return [_render(x, problem) for x in v]
 
 
 # ---------------------------------------------------------------------------
@@ -196,21 +169,19 @@ def _load_problem(args) -> ProblemInput:
     if args.csv is not None and args.json is not None:
         raise CliError("--csv conflicts with --json", EXIT_PARSE)
 
-    n = getattr(args, "n", None)
+    values, n = None, None
     if args.nodes is not None:
         nodes = _split_flag(args.nodes)
-        values = _split_flag(args.values) if args.values is not None else None
     elif args.csv is not None:
         nodes, values = _read_csv(args.csv)
-        if args.values is not None:
-            values = _split_flag(args.values)
     else:
-        nodes, values, file_n = _read_json(args.json)
-        if args.values is not None:
-            values = _split_flag(args.values)
-        if n is None:
-            n = file_n
-    return ProblemInput(nodes=nodes, values=values, n=n, float_output=args.float)
+        nodes, values, n = _read_json(args.json)
+    # --values overrides any source, --n the file's "n".
+    if args.values is not None:
+        values = _split_flag(args.values)
+    if getattr(args, "n", None) is not None:
+        n = args.n
+    return ProblemInput(nodes=nodes, values=values, n=n)
 
 
 # ---------------------------------------------------------------------------
@@ -225,20 +196,20 @@ def _verify_residual(poly, nodes, values, what: str):
     """The polynomial must take its value at every node."""
     miss = first_miss(poly, nodes, values)
     if miss is not None:
-        _verify_fail(f"{what} misses its value at node {nodes[miss[0]]}")
+        _verify_fail(f"{what} misses its value at node {exact_str(nodes[miss[0]])}")
 
 
-def _verify_basis(nodes, basis, n: int):
-    """n - p annihilated vectors, vector k ending in a 1 at index p + k.
+def _verify_basis(nodes, vectors, n: int):
+    """max(n - p, 0) annihilated vectors, vector k ending in a 1 at index p + k.
 
     The trailing ones form an echelon pattern, so the vectors are
     independent and, with distinct nodes, span the whole kernel.
     """
     p = len(nodes)
-    if basis.dimension != n - p:
+    if len(vectors) != max(n - p, 0):
         _verify_fail("wrong kernel dimension")
     zeros = [0] * p
-    for k, vec in enumerate(basis.vectors):
+    for k, vec in enumerate(vectors):
         if len(vec) != n or vec[p + k] != 1 or any(x != 0 for x in vec[p + k + 1:]):
             _verify_fail(f"kernel vector {k} breaks the echelon pattern")
         _verify_residual(Polynomial(vec), nodes, zeros, f"kernel vector {k}")
@@ -252,8 +223,8 @@ def _verify_interpolation(nodes, values, poly):
         _verify_fail("coefficients disagree with the elimination oracle")
 
 
-def _verify_sigma(nodes, table, deflated):
-    """Quadratic certificate for sigma and every deflated row.
+def _verify_sigma(nodes, table):
+    """Quadratic certificate for sigma and every deflated row the table holds.
 
     sigma has p + 1 entries, sigma(0) = 1, and
     P(x) = sum_t (-1)^t sigma(t) x^(p-t) vanishes at the p distinct nodes,
@@ -272,6 +243,7 @@ def _verify_sigma(nodes, table, deflated):
     signed = Polynomial(tuple(sigma[t] if t % 2 == 0 else -sigma[t]
                               for t in range(p, -1, -1)))
     _verify_residual(signed, nodes, [0] * p, "sigma polynomial")
+    deflated = table.deflated
     if deflated is None:
         return
     if len(deflated) != p:
@@ -288,7 +260,7 @@ def _verify_sigma(nodes, table, deflated):
         padded = (0, *row, 0)
         for t in range(p + 1):
             if sigma[t] * scale != lead * padded[t + 1] + trail * padded[t]:
-                _verify_fail(f"deflated row {i} times (x - {a}) misses sigma({t})")
+                _verify_fail(f"deflated row {i} times (x - {exact_str(a)}) misses sigma({t})")
 
 
 def _over_common_denominator(row) -> tuple:
@@ -298,17 +270,14 @@ def _over_common_denominator(row) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# commands: each returns (payload, exit_code)
+# commands: each returns (exact payload, exit_code)
 
 
 def cmd_interpolate(problem: ProblemInput, verify: bool = False) -> tuple:
     nodes = _node_set(problem)
     values = _value_list(problem, nodes)
     poly = interpolate(nodes, values)
-    payload = {
-        "coefficients": _render_vector(poly.coeffs, problem),
-        "degree": poly.degree,
-    }
+    payload = {"coefficients": poly.coeffs, "degree": poly.degree}
     if verify:
         _verify_interpolation(nodes, values, poly)
         payload["verified"] = True
@@ -319,34 +288,20 @@ def cmd_solve(problem: ProblemInput, verify: bool = False) -> tuple:
     nodes = _node_set(problem)
     values = _value_list(problem, nodes)
     n = _dimension(problem.n if problem.n is not None else len(nodes))
-
     if len(nodes) > n:
         result = solve_overdetermined(nodes, values, n)
         if not result.consistent:
-            payload = {
-                "inconsistent_at": result.inconsistent_at,
-                "lhs": _render(result.lhs, problem),
-                "rhs": _render(result.rhs, problem),
-            }
+            payload = {"inconsistent_at": result.inconsistent_at,
+                       "lhs": result.lhs, "rhs": result.rhs}
             return payload, EXIT_INCONSISTENT
-        if verify:
-            _verify_residual(Polynomial(result.solution), nodes, values, "solution")
-        payload = {
-            "particular": _render_vector(result.solution, problem),
-            "kernel_basis": [],
-        }
-        if verify:
-            payload["verified"] = True
-        return payload, EXIT_OK
-
-    space = solve_general(nodes, values, n)
-    payload = {
-        "particular": _render_vector(space.particular, problem),
-        "kernel_basis": [_render_vector(v, problem) for v in space.basis.vectors],
-    }
+        particular, vectors = result.solution, ()
+    else:
+        space = solve_general(nodes, values, n)
+        particular, vectors = space.particular, space.basis.vectors
+    payload = {"particular": particular, "kernel_basis": vectors}
     if verify:
-        _verify_residual(Polynomial(space.particular), nodes, values, "particular solution")
-        _verify_basis(nodes, space.basis, n)
+        _verify_residual(Polynomial(particular), nodes, values, "solution")
+        _verify_basis(nodes, vectors, n)
         payload["verified"] = True
     return payload, EXIT_OK
 
@@ -361,12 +316,9 @@ def cmd_kernel(problem: ProblemInput, verify: bool = False) -> tuple:
             f"matrix with {len(nodes)} rows and {n} columns has a trivial kernel; "
             'use "vandersolve solve" instead', EXIT_INVALID)
     basis = kernel_basis(nodes, n)
-    payload = {
-        "dimension": basis.dimension,
-        "kernel_basis": [_render_vector(v, problem) for v in basis.vectors],
-    }
+    payload = {"dimension": basis.dimension, "kernel_basis": basis.vectors}
     if verify:
-        _verify_basis(nodes, basis, n)
+        _verify_basis(nodes, basis.vectors, n)
         payload["verified"] = True
     return payload, EXIT_OK
 
@@ -374,15 +326,13 @@ def cmd_kernel(problem: ProblemInput, verify: bool = False) -> tuple:
 def cmd_sigma(problem: ProblemInput, deflated: bool = False, verify: bool = False) -> tuple:
     nodes = _node_set(problem)
     table = compute_sigma(nodes)
-    rows = None
     if deflated:
         table = deflate_all(table)
-        rows = table.deflated
-    payload = {"sigma": _render_vector(table.sigma, problem)}
-    if rows is not None:
-        payload["deflated"] = [_render_vector(r, problem) for r in rows]
+    payload = {"sigma": table.sigma}
+    if table.deflated is not None:
+        payload["deflated"] = table.deflated
     if verify:
-        _verify_sigma(nodes, table, rows)
+        _verify_sigma(nodes, table)
         payload["verified"] = True
     return payload, EXIT_OK
 
@@ -390,21 +340,7 @@ def cmd_sigma(problem: ProblemInput, deflated: bool = False, verify: bool = Fals
 def cmd_bench(sizes, repetitions: int) -> tuple:
     from . import bench  # numpy stays out of the exact lanes
 
-    try:
-        config = bench.BenchConfig(sizes=tuple(sizes), repetitions=repetitions)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_INVALID) from exc
-    reports = bench.run_benchmark(config)
-    payload = {}
-    for name in ("closed_form", "gaussian"):
-        report = reports[name]
-        payload[name] = {
-            "sizes": list(report.sizes),
-            "times": list(report.times),
-            "op_counts": list(report.op_counts),
-            "fit": report.fit,
-        }
-    return payload, EXIT_OK
+    return bench.run_benchmark(sizes, repetitions), EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +379,25 @@ def _pretty(payload: dict) -> str:
     return "\n".join(lines)
 
 
+def _render(value, as_float: bool):
+    """An exact result, or a vector or matrix of them, as strings or correctly rounded doubles."""
+    if isinstance(value, (tuple, list)):
+        return [_render(x, as_float) for x in value]
+    if not as_float:
+        return exact_str(value)
+    try:
+        return float(value)
+    except OverflowError:
+        # The exact value may have hundreds of digits: name the problem, not the value.
+        raise CliError("a result overflows a double and is not finite as a float; "
+                       "rerun without --float", EXIT_INVALID) from None
+
+
 def _emit(payload: dict, args) -> None:
+    """Render the exact results of the payload, then write it as JSON or a table."""
+    as_float = getattr(args, "float", False)
+    payload = {key: _render(value, as_float) if key in EXACT_KEYS else value
+               for key, value in payload.items()}
     if getattr(args, "pretty", False):
         text = _pretty(payload)
     else:
@@ -482,9 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--pretty", action="store_true", help="table output instead of JSON")
     common.add_argument("--out", help="write the output to a file instead of stdout")
 
-    p_int = sub.add_parser("interpolate", parents=[common],
-                           help="Lagrange interpolation polynomial")
-    p_int.set_defaults(n=None)
+    sub.add_parser("interpolate", parents=[common], help="Lagrange interpolation polynomial")
 
     p_solve = sub.add_parser("solve", parents=[common],
                              help="solve the p x n system (square, wide or tall)")
@@ -498,7 +450,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="monomial coefficients of the node set")
     p_sig.add_argument("--deflated", action="store_true",
                        help="include every single-node-removed row")
-    p_sig.set_defaults(n=None)
 
     p_bench = sub.add_parser("bench", help="closed form vs Gaussian elimination, float lane")
     p_bench.add_argument("--sizes", default="256,512,1024",
@@ -549,10 +500,7 @@ def main(argv=None) -> int:
     except ScalarParseError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
-    except DuplicateNodeError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVALID
-    except (DimensionMismatchError, OverdeterminedInputError, ValueError) as err:
+    except ValueError as err:  # an invalid problem: duplicate nodes, mismatched sizes, ...
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
     return code

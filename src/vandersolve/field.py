@@ -8,11 +8,12 @@ ints and Fractions pass, other integers (numpy's, bool) become ints, and
 every other type (float, `Decimal`, str) raises TypeError, since only
 the caller knows whether 0.1 means its binary value or 1/10.
 `parse_scalar` reads every literal exactly, whatever the CLI's output
-format.  After the gate, `is_exact` picks the path: the closed forms,
-the elimination oracle and `Polynomial.evaluate` run in ints on exact
-scalars, and `CountingNumber` runs their generic code, with plain ints
-as the identities 0 and 1; `exact_div` keeps a quotient of two ints
-rational there.
+format, and `exact_str` writes an exact scalar back at any size.  After
+the gate, `is_exact` picks the path: the closed forms, the elimination
+oracle and `Polynomial.evaluate` run in ints on exact scalars, and
+`CountingNumber` runs their generic code, with plain ints as the
+identities 0 and 1; `exact_div` keeps a quotient of two ints rational
+there.
 
 `CountingNumber` wraps a scalar and tallies every arithmetic operation into
 a shared `OpCounter`; it divides through `exact_div`, so wrapped ints
@@ -20,6 +21,7 @@ stay rational.  It exists for complexity diagnostics only and never
 appears in public results.
 """
 
+import decimal
 import numbers
 import re
 import sys
@@ -55,6 +57,19 @@ def parse_scalar(text: str) -> Fraction:
         return Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
         raise ScalarParseError(f"cannot parse scalar {literal!r}") from exc
+
+
+def exact_str(x) -> str:
+    """An int or a Fraction as "p" or "p/q", at any number of digits.
+
+    `str` refuses more digits than `sys.get_int_max_str_digits()`;
+    `decimal.Decimal` has no such limit, so it writes those.
+    """
+    try:
+        return str(x)
+    except ValueError:
+        n, d = (str(decimal.Decimal(i)) for i in (x.numerator, x.denominator))
+        return n if d == "1" else f"{n}/{d}"
 
 
 def exact_div(x, y):

@@ -79,18 +79,6 @@ def solve_general(nodes: NodeSet, q, n: int) -> AffineSolutionSpace:
     return AffineSolutionSpace(particular=particular, basis=basis)
 
 
-def sample_solution(space: AffineSolutionSpace, coefficients) -> list:
-    """One member of the space: particular + sum of t_k * v_k."""
-    if len(coefficients) != space.basis.dimension:
-        raise DimensionMismatchError(
-            f"{space.basis.dimension} basis vectors but {len(coefficients)} coefficients")
-    out = list(space.particular)
-    for t_k, vec in zip(coefficients, space.basis.vectors):
-        for i, entry in enumerate(vec):
-            out[i] = out[i] + t_k * entry
-    return out
-
-
 @dataclass(frozen=True)
 class OverdeterminedResult:
     """Unique solution when consistent, else the first violated equation.

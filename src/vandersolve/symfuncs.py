@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
-from .field import exact_scalar, is_exact
+from .field import exact_scalar, exact_str, is_exact
 from .poly import Polynomial
 
 
@@ -37,7 +37,7 @@ class DuplicateNodeError(ValueError):
     """Two nodes compare equal; abscissae must be pairwise distinct."""
 
     def __init__(self, value, first: int, second: int):
-        super().__init__(f"duplicate node {value} at positions {first} and {second}")
+        super().__init__(f"duplicate node {exact_str(value)} at positions {first} and {second}")
         self.value = value
         self.first = first
         self.second = second
@@ -63,10 +63,6 @@ class NodeSet:
             if a in seen:
                 raise DuplicateNodeError(a, seen[a], i)
             seen[a] = i
-
-    @property
-    def p(self) -> int:
-        return len(self.nodes)
 
     def __len__(self):
         return len(self.nodes)
@@ -94,10 +90,6 @@ class SigmaTable:
     nodes: NodeSet
     coeffs: tuple
     rows: tuple | None = None
-
-    @property
-    def p(self) -> int:
-        return len(self.nodes)
 
     @cached_property
     def sigma(self) -> tuple:

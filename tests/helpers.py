@@ -36,3 +36,10 @@ def random_node_set(rng: random.Random, p: int) -> NodeSet:
 
 def random_values(rng: random.Random, count: int) -> list:
     return [random_fraction(rng) for _ in range(count)]
+
+
+def affine_member(space, coefficients) -> list:
+    """particular + sum of t_k * v_k: one member of an affine solution space."""
+    assert len(coefficients) == space.basis.dimension
+    return [x + sum(t * v[i] for t, v in zip(coefficients, space.basis.vectors))
+            for i, x in enumerate(space.particular)]

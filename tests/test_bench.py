@@ -161,29 +161,30 @@ def test_loglog_slope_recovers_exact_powers():
 ])
 def test_config_validation(sizes, reps):
     with pytest.raises(ValueError):
-        bench.BenchConfig(sizes=sizes, repetitions=reps)
+        bench.run_benchmark(sizes, repetitions=reps)
 
 
 def test_sweep_counts_equal_standalone_counts():
     sizes = (4, 9, 16)
-    reports = bench.run_benchmark(bench.BenchConfig(sizes=sizes, repetitions=2))
+    reports = bench.run_benchmark(sizes, repetitions=2)
     for i, p in enumerate(sizes):
         nodes, values = bench.bench_nodes(p), bench.bench_values(p)
         closed, gauss = OpCounter(), OpCounter()
         bench.solve_square_floats(nodes, values, closed)
         bench.gaussian_solve_floats(bench.build_matrix_floats(nodes, p), values, gauss)
-        assert reports["closed_form"].op_counts[i] == closed.total
-        assert reports["gaussian"].op_counts[i] == gauss.total
+        assert reports["closed_form"]["op_counts"][i] == closed.total
+        assert reports["gaussian"]["op_counts"][i] == gauss.total
 
 
 def test_run_benchmark_smoke():
-    reports = bench.run_benchmark(bench.BenchConfig(sizes=(8, 16, 32), repetitions=1))
+    reports = bench.run_benchmark((8, 16, 32), repetitions=1)
     for name in ("closed_form", "gaussian"):
         report = reports[name]
-        assert report.sizes == (8, 16, 32)
-        assert len(report.times) == len(report.op_counts) == 3
-        assert all(t >= 0 for t in report.times)
-        assert list(report.op_counts) == sorted(report.op_counts)
-        assert math.isfinite(report.fit)
+        assert list(report) == ["sizes", "times", "op_counts", "fit"]
+        assert report["sizes"] == [8, 16, 32]
+        assert len(report["times"]) == len(report["op_counts"]) == 3
+        assert all(t >= 0 for t in report["times"])
+        assert report["op_counts"] == sorted(report["op_counts"])
+        assert math.isfinite(report["fit"])
     # the cubic lane must outgrow the quadratic one
-    assert reports["gaussian"].fit > reports["closed_form"].fit
+    assert reports["gaussian"]["fit"] > reports["closed_form"]["fit"]

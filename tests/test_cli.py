@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 
 from vandersolve import cli
-from vandersolve.cli import ProblemInput, cmd_interpolate, main
+from vandersolve.cli import main
 from vandersolve.kernel import KernelBasis, kernel_basis, solve_general
 from vandersolve.poly import Polynomial
 from vandersolve.symfuncs import NodeSet, compute_sigma, deflate_all
@@ -159,6 +159,15 @@ def test_duplicate_node_is_exit_two_and_named(capsys):
     code, _, err = run_cli(capsys, "interpolate", "--nodes", "1,1", "--values", "1,2")
     assert code == 2
     assert "duplicate node 1" in err
+
+
+def test_duplicate_node_past_the_digit_limit_is_named(capsys):
+    # 10**-4300 has a 4301-digit denominator, more than str(int) writes
+    code, _, err = run_cli(capsys, "interpolate", "--nodes", "1e-4300,1e-4300",
+                           "--values", "1,2")
+    assert code == 2
+    assert err.startswith("error: duplicate node 1/1000")
+    assert err.endswith(" at positions 0 and 1\n")
 
 
 def test_value_count_mismatch_is_exit_two(capsys):
@@ -621,12 +630,12 @@ def test_bench_rejects_bad_size_list(capsys):
     unique_by=lambda pair: pair[0],
 ))
 def test_exact_output_round_trips(points):
-    problem = ProblemInput(
-        nodes=[str(a) for a, _ in points],
-        values=[str(q) for _, q in points])
-    payload, code = cmd_interpolate(problem)
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        code = main(["interpolate", "--nodes=" + ",".join(str(a) for a, _ in points),
+                     "--values=" + ",".join(str(q) for _, q in points)])
     assert code == 0
-    coeffs = tuple(Fraction(c) for c in payload["coefficients"])
+    coeffs = tuple(Fraction(c) for c in json.loads(stdout.getvalue())["coefficients"])
     rebuilt = interpolate(
         NodeSet(tuple(a for a, _ in points)), [q for _, q in points])
     assert coeffs == rebuilt.coeffs
