@@ -11,9 +11,11 @@ payload of `vandersolve bench` itself.
 The closed form streams: it keeps one deflation column at a time and a
 running product for the column denominators, so it needs O(p) memory
 (Bjorck & Pereyra, Math. Comp. 24, 1970, do O(p^2) work in O(p) memory
-too).  Elimination runs in panels of PANEL columns and applies each
-panel to the trailing block with one matrix product; it forms the same
-products as unblocked elimination, so its counts are unchanged.
+too).  Elimination runs in panels of PANEL columns, as LAPACK's dgetrf
+does: each panel is factored on a contiguous copy, its rows are
+permuted once, and one matrix product applies it to the trailing block.
+It forms the same products as unblocked elimination, so its counts are
+unchanged.
 
 At benchmark sizes the float values themselves overflow to inf/NaN: the
 deflation subtraction cancels catastrophically and sigma values grow
@@ -118,24 +120,26 @@ def solve_square_floats(nodes: np.ndarray, values: np.ndarray, ops: OpCounter) -
 def build_matrix_floats(nodes: np.ndarray, n: int) -> np.ndarray:
     """Float matrix with rows (1, a, ..., a^(n-1)); setup only, not counted."""
     with np.errstate(all="ignore"):
-        v = np.empty((len(nodes), n))
-        v[:, 0] = 1.0
-        for j in range(1, n):
-            v[:, j] = v[:, j - 1] * nodes
-    return v
+        return np.vander(nodes, n, increasing=True)
 
 
 def gaussian_solve_floats(matrix: np.ndarray, values: np.ndarray, ops: OpCounter) -> np.ndarray:
     """Cubic elimination with magnitude pivoting, blocked in panels of PANEL columns.
 
     Right-looking LU with partial pivoting (Golub & Van Loan, section
-    3.2.11).  Inside a panel each step searches column k for the pivot,
-    swaps whole rows, updates b and the panel's own columns, and stores its
-    multipliers f below the diagonal.  After the panel a unit-lower solve
-    brings the panel's rows to the right of it up to date, and one matrix
-    product applies the panel to the trailing block.  Every product
-    l_ik * u_kj is still formed exactly once, so the per-step counts are
-    those of unblocked elimination.
+    3.2.11), blocked as in LAPACK's dgetrf.  Each panel is copied,
+    transposed, into a contiguous buffer of at most n x PANEL doubles.
+    Inside it each step searches column k for the pivot, swaps two buffer
+    columns and two entries of b, updates b and the panel's own columns,
+    and stores its multipliers f below the diagonal.  After the panel the
+    buffer is written back and the rows it moved are gathered once in the
+    columns to its right (dlaswp); the columns to its left keep their old
+    row order, since b is eliminated in step and their multipliers are
+    never read again.  Forward substitution, one vector-matrix product
+    per row, then brings the panel's rows of the right-hand columns up to
+    date, and one matrix product applies the panel to the trailing block.
+    Every product l_ik * u_kj is still formed exactly once, so the
+    per-step counts are those of unblocked elimination.
 
     Counts follow the element-wise formulation; pivot search and row swaps
     are free, vectorized evaluation reassociates sums without changing the
@@ -148,24 +152,34 @@ def gaussian_solve_floats(matrix: np.ndarray, values: np.ndarray, ops: OpCounter
     with np.errstate(all="ignore"):
         for k0 in range(0, n, PANEL):
             k1 = min(k0 + PANEL, n)
-            for k in range(k0, k1):
-                pivot = k + int(np.argmax(np.abs(a[k:, k])))
-                if pivot != k:
-                    a[[k, pivot]] = a[[pivot, k]]
-                    b[[k, pivot]] = b[[pivot, k]]
-                f = a[k + 1:, k] / a[k, k]
+            # Row j of the buffer is column k0 + j of a from row k0 down,
+            # and order[r] is the row of a that buffer column r came from.
+            panel = np.ascontiguousarray(a[k0:, k0:k1].T)
+            order = np.arange(k0, n)
+            for j in range(k1 - k0):
+                k = k0 + j
+                col = panel[j]
+                r = j + int(np.argmax(np.abs(col[j:])))
+                if r != j:
+                    panel[:, j], panel[:, r] = panel[:, r], panel[:, j].copy()
+                    b[k], b[k0 + r] = b[k0 + r], b[k]
+                    order[j], order[r] = order[r], order[j]
+                f = col[j + 1:]  # the multipliers, stored in place below the diagonal
+                f /= col[j]
                 ops.divs += n - 1 - k
-                a[k + 1:, k + 1:k1] -= f[:, None] * a[k, k + 1:k1]
+                panel[j + 1:, j + 1:] -= panel[j + 1:, j, None] * f
                 ops.muls += (n - 1 - k) * (n - 1 - k)
                 ops.subs += (n - 1 - k) * (n - 1 - k)
                 b[k + 1:] -= f * b[k]
                 ops.muls += n - 1 - k
                 ops.subs += n - 1 - k
-                a[k + 1:, k] = f
+            a[k0:, k0:k1] = panel.T
             # The columns right of the panel were left alone until every
             # swap of the panel was known; their share of the counts is above.
-            for k in range(k0, k1 - 1):
-                a[k + 1:k1, k1:] -= a[k + 1:k1, k, None] * a[k, k1:]
+            moved = np.flatnonzero(order != np.arange(k0, n))
+            a[k0 + moved, k1:] = a[order[moved], k1:]
+            for i in range(k0 + 1, k1):
+                a[i, k1:] -= a[i, k0:i] @ a[k0:i, k1:]
             a[k1:, k1:] -= a[k1:, k0:k1] @ a[k0:k1, k1:]
         for i in range(n - 1, -1, -1):
             s = b[i] - a[i, i + 1:] @ x[i + 1:]

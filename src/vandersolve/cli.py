@@ -119,6 +119,10 @@ def _read_csv(path: str) -> tuple:
         raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from exc
     if not rows:
         raise CliError(f"{path} holds no data rows", EXIT_PARSE)
+    for sep, name in ((";", "';'"), ("\t", "a tab")):
+        if all(len(row) == 1 and sep in row[0] for row in rows):
+            raise CliError(f"{path} separates its cells with {name}; "
+                           "vandersolve reads comma-separated CSV", EXIT_PARSE)
     if not any(_is_scalar(cell) for cell in rows[0]):
         rows = rows[1:]  # header row
     if not rows:
@@ -469,6 +473,8 @@ def _dispatch(args) -> tuple:
             raise CliError(f"bad size list {args.sizes!r}", EXIT_PARSE) from exc
         return cmd_bench(sizes, args.reps)
 
+    if args.command in ("kernel", "sigma") and args.values is not None:
+        raise CliError(f"{args.command} takes no values", EXIT_PARSE)
     problem = _load_problem(args)
     if args.command == "interpolate":
         return cmd_interpolate(problem, verify=args.verify)

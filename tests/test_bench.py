@@ -85,6 +85,17 @@ def test_closed_form_runs_in_linear_memory():
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("p,n", [(1, 1), (1, 4), (2, 2), (2, 1), (33, 33), (33, 32),
+                                 (300, 300), (300, 305)])
+def test_build_matrix_floats_is_the_running_product(p, n):
+    nodes = bench.bench_nodes(p)
+    want = np.empty((p, n))
+    want[:, 0] = 1.0
+    for j in range(1, n):
+        want[:, j] = want[:, j - 1] * nodes
+    assert np.array_equal(bench.build_matrix_floats(nodes, n), want)
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_gaussian_kernel_matches_oracle(n):
     nodes = bench.bench_nodes(n)
@@ -105,6 +116,27 @@ def random_system(p):
 def test_gaussian_kernel_across_panels(p):
     # random normal rows: beyond one panel, some pivots come from below the current panel
     matrix, vals = random_system(p)
+    got = bench.gaussian_solve_floats(matrix, vals, OpCounter())
+    np.testing.assert_allclose(got, np.linalg.solve(matrix, vals), rtol=1e-9)
+
+
+def test_gaussian_kernel_leaves_its_inputs_unchanged():
+    # float-bench and the sweep solve the same arrays over and over
+    matrix, vals = random_system(100)
+    matrix_before, vals_before = matrix.copy(), vals.copy()
+    bench.gaussian_solve_floats(matrix, vals, OpCounter())
+    assert np.array_equal(matrix, matrix_before)
+    assert np.array_equal(vals, vals_before)
+
+
+def test_gaussian_kernel_with_pivots_from_below_the_panel():
+    # Strictly column-dominant rows, reversed: step k of the first panel
+    # pivots on row p - 1 - k, below the panel, and the swaps must reach
+    # the columns right of it and b.
+    p = 2 * bench.PANEL + 3
+    rng = np.random.default_rng(p)
+    dominant = rng.uniform(-1.0, 1.0, (p, p)) + p * np.eye(p)
+    matrix, vals = dominant[::-1].copy(), rng.standard_normal(p)
     got = bench.gaussian_solve_floats(matrix, vals, OpCounter())
     np.testing.assert_allclose(got, np.linalg.solve(matrix, vals), rtol=1e-9)
 

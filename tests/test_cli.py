@@ -202,8 +202,8 @@ def test_kernel_with_p_above_n_is_exit_two(capsys):
 
 @pytest.mark.parametrize("command", ["kernel", "solve"])
 def test_nonpositive_n_is_exit_two(capsys, command):
-    code, out, err = run_cli(capsys, command, "--nodes", "1,2", "--values", "1,2",
-                             "--n", "-3")
+    values = ("--values", "1,2") if command == "solve" else ()  # kernel takes no values
+    code, out, err = run_cli(capsys, command, "--nodes", "1,2", *values, "--n", "-3")
     assert code == 2
     assert out == ""
     assert "need n >= 1" in err
@@ -319,6 +319,43 @@ def test_csv_ragged_rows_rejected(tmp_path, capsys):
     code, _, err = run_cli(capsys, "interpolate", "--csv", str(path))
     assert code == 1
     assert "columns" in err
+
+
+@pytest.mark.parametrize("text", ["1;2\n", "x;y\n1;2\n", "1\t2\n", "x\ty\n1\t2\n"],
+                         ids=["semicolon", "semicolon-header", "tab", "tab-header"])
+def test_csv_with_another_separator_is_named(tmp_path, capsys, text):
+    path = tmp_path / "points.csv"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "interpolate", "--csv", str(path))
+    assert code == 1
+    assert out == ""
+    name = "';'" if ";" in text else "a tab"
+    assert f"separates its cells with {name}" in err
+    assert "comma-separated" in err
+
+
+@pytest.mark.parametrize("argv", [("sigma", "--nodes", "1,2,3"),
+                                  ("kernel", "--nodes", "1,2", "--n", "4")])
+def test_values_flag_is_refused_without_a_right_hand_side(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--values", "5,6,7")
+    assert code == 1
+    assert out == ""
+    assert f"{argv[0]} takes no values" in err
+
+
+@pytest.mark.parametrize("argv,want", [
+    (("sigma",), '{"sigma":["1","6","11","6"]}\n'),
+    (("kernel", "--n", "4"), '{"dimension":1,"kernel_basis":[["-6","11","-6","1"]]}\n'),
+])
+def test_file_values_are_ignored_without_a_right_hand_side(tmp_path, capsys, argv, want):
+    # one file may feed interpolate and sigma alike
+    csv_path, json_path = tmp_path / "points.csv", tmp_path / "points.json"
+    csv_path.write_text("node,value\n1,5\n2,6\n3,7\n", encoding="utf-8")
+    json_path.write_text('{"nodes": [1, 2, 3], "values": [5, 6, 7]}', encoding="utf-8")
+    for source in (("--csv", str(csv_path)), ("--json", str(json_path))):
+        code, out, _ = run_cli(capsys, argv[0], *source, *argv[1:])
+        assert code == 0
+        assert out == want
 
 
 def test_json_input_with_ambient_dimension(tmp_path, capsys):
@@ -516,6 +553,17 @@ def _space_with_repeated_vector(nodes, q, n):
     return replace(space, basis=_repeat_first(space.basis))
 
 
+def _plus_root_product(nodes, q):
+    """The interpolant plus prod(x - a_i): zero residual at every node, but degree p."""
+    root_product = (1,)
+    for a in nodes:
+        root_product = tuple(hi - a * lo for hi, lo in zip((0,) + root_product,
+                                                           root_product + (0,)))
+    coeffs = interpolate(nodes, q).coeffs
+    coeffs += (0,) * (len(root_product) - len(coeffs))
+    return Polynomial(tuple(c + r for c, r in zip(coeffs, root_product)))
+
+
 # The tampering acts on the stored integer rows; cli reads sigma and the
 # deflated rows derived from them.
 def _sigma_with_wrong_entry(nodes):
@@ -539,6 +587,8 @@ DEFLATED = SIGMA + ("--deflated",)
 @pytest.mark.parametrize("argv,target,fake", [
     (("interpolate", "--nodes", "1,2,3", "--values", "2,3,5"), "interpolate",
      lambda nodes, q: Polynomial(_bump_first(interpolate(nodes, q).coeffs))),
+    (("interpolate", "--nodes", "1,-2,3/2", "--values", "2,3,5"), "interpolate",
+     _plus_root_product),
     (WIDE, "solve_general", _space_with_wrong_coefficient),
     (WIDE, "solve_general", _space_with_repeated_vector),
     (("kernel", "--nodes", "1,2", "--n", "5"), "kernel_basis",
@@ -549,9 +599,9 @@ DEFLATED = SIGMA + ("--deflated",)
     (DEFLATED, "deflate_all", _deflated_with(lambda row: row + (0,))),
     (DEFLATED, "deflate_all", lambda table: replace(
         table, rows=deflate_all(table).rows[:-1])),
-], ids=["interpolate-coefficient", "solve-coefficient", "solve-repeated-vector",
-        "kernel-repeated-vector", "sigma-entry", "deflated-entry", "deflated-row-length",
-        "deflated-missing-row"])
+], ids=["interpolate-coefficient", "interpolate-root-product", "solve-coefficient",
+        "solve-repeated-vector", "kernel-repeated-vector", "sigma-entry", "deflated-entry",
+        "deflated-row-length", "deflated-missing-row"])
 def test_verify_catches_tampered_results(capsys, monkeypatch, argv, target, fake):
     monkeypatch.setattr(cli, target, fake)
     assert run_cli(capsys, *argv)[0] == 0  # the tampered result still renders
