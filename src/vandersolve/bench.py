@@ -13,9 +13,10 @@ running product for the column denominators, so it needs O(p) memory
 (Bjorck & Pereyra, Math. Comp. 24, 1970, do O(p^2) work in O(p) memory
 too).  Elimination runs in panels of PANEL columns, as LAPACK's dgetrf
 does: each panel is factored on a contiguous copy, its rows are
-permuted once, and one matrix product applies it to the trailing block.
-It forms the same products as unblocked elimination, so its counts are
-unchanged.
+permuted once, and matrix products apply it to the trailing block, one
+block of PANEL rows at a time.  It keeps one n x n working copy plus
+O(n * PANEL) scratch, and it forms the same products as unblocked
+elimination, so its counts are unchanged.
 
 At benchmark sizes the float values themselves overflow to inf/NaN: the
 deflation subtraction cancels catastrophically and sigma values grow
@@ -32,7 +33,7 @@ import numpy as np
 
 from .field import OpCounter
 
-PANEL = 32  # columns per elimination panel
+PANEL = 32  # columns per elimination panel, rows per trailing-update block
 
 
 def bench_nodes(p: int) -> np.ndarray:
@@ -137,9 +138,13 @@ def gaussian_solve_floats(matrix: np.ndarray, values: np.ndarray, ops: OpCounter
     row order, since b is eliminated in step and their multipliers are
     never read again.  Forward substitution, one vector-matrix product
     per row, then brings the panel's rows of the right-hand columns up to
-    date, and one matrix product applies the panel to the trailing block.
-    Every product l_ik * u_kj is still formed exactly once, so the
-    per-step counts are those of unblocked elimination.
+    date, and the panel is applied to the trailing block one block of
+    PANEL rows at a time, each block's matrix product subtracted in place
+    (dgetrf's dgemm accumulates into the matrix the same way).  So besides
+    its n x n working copy the kernel holds only O(n * PANEL) scratch: the
+    panel buffer, one block's product and the gathered rows.  Every
+    product l_ik * u_kj is still formed exactly once, so the per-step
+    counts are those of unblocked elimination.
 
     Counts follow the element-wise formulation; pivot search and row swaps
     are free, vectorized evaluation reassociates sums without changing the
@@ -180,7 +185,9 @@ def gaussian_solve_floats(matrix: np.ndarray, values: np.ndarray, ops: OpCounter
             a[k0 + moved, k1:] = a[order[moved], k1:]
             for i in range(k0 + 1, k1):
                 a[i, k1:] -= a[i, k0:i] @ a[k0:i, k1:]
-            a[k1:, k1:] -= a[k1:, k0:k1] @ a[k0:k1, k1:]
+            for r0 in range(k1, n, PANEL):
+                r1 = min(r0 + PANEL, n)
+                a[r0:r1, k1:] -= a[r0:r1, k0:k1] @ a[k0:k1, k1:]
         for i in range(n - 1, -1, -1):
             s = b[i] - a[i, i + 1:] @ x[i + 1:]
             ops.muls += n - 1 - i

@@ -16,9 +16,9 @@ x - a_i gives it back), with no limit on the node count.
 
 Exit codes: 0 success, 1 usage or parse error, missing input, unwritable
 --out or stdout closed early, 2 invalid problem (duplicate nodes,
-dimension mismatch, n < 1, a --float result too large for a double), 3
-inconsistent overdetermined system, 4 --verify mismatch, which would
-mean a bug with or without --float.
+dimension mismatch, n < 1 or past sys.maxsize, a --float result too large
+for a double), 3 inconsistent overdetermined system, 4 --verify mismatch,
+which would mean a bug with or without --float.
 """
 
 import argparse
@@ -90,6 +90,8 @@ def _dimension(n: int) -> int:
     """Check the ambient dimension of solve and kernel (--n or the file's "n")."""
     if n < 1:
         raise CliError("need n >= 1", EXIT_INVALID)
+    if n > sys.maxsize:  # no index, list or range can be that long
+        raise CliError(f"n is too large: need n <= {sys.maxsize}", EXIT_INVALID)
     return n
 
 
@@ -115,7 +117,7 @@ def _read_csv(path: str) -> tuple:
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:  # csv.Error: a cell past its size limit
         raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from exc
     if not rows:
         raise CliError(f"{path} holds no data rows", EXIT_PARSE)
@@ -144,11 +146,17 @@ def _read_json(path: str) -> tuple:
         raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"{path} is not valid JSON: {exc}", EXIT_PARSE) from exc
+    except ValueError as exc:  # int() refuses a literal past the digit limit
+        raise CliError(f"{path} is not valid JSON: an integer has more than "
+                       f"{sys.get_int_max_str_digits()} digits", EXIT_PARSE) from exc
+    except RecursionError:
+        raise CliError(f"{path} is not valid JSON: nested too deeply", EXIT_PARSE) from None
     if not isinstance(data, dict) or "nodes" not in data:
         raise CliError(f'{path} must be an object with a "nodes" list', EXIT_PARSE)
-    for key in ("nodes", "values"):
-        if data.get(key) is not None and not isinstance(data[key], list):
-            raise CliError(f'"{key}" in {path} must be a list', EXIT_PARSE)
+    if not isinstance(data["nodes"], list):
+        raise CliError(f'"nodes" in {path} must be a list', EXIT_PARSE)
+    if data.get("values") is not None and not isinstance(data["values"], list):
+        raise CliError(f'"values" in {path} must be a list', EXIT_PARSE)
     nodes = [str(x) for x in data["nodes"]]
     values = [str(x) for x in data["values"]] if data.get("values") is not None else None
     n = data.get("n")

@@ -112,12 +112,25 @@ def random_system(p):
     return rng.standard_normal((p, p)), rng.standard_normal(p)
 
 
-@pytest.mark.parametrize("p", [31, 32, 33, 65, 100])
+@pytest.mark.parametrize("p", [31, 32, 33, 65, 100, 3 * bench.PANEL, 3 * bench.PANEL + 1])
 def test_gaussian_kernel_across_panels(p):
     # random normal rows: beyond one panel, some pivots come from below the current panel
     matrix, vals = random_system(p)
     got = bench.gaussian_solve_floats(matrix, vals, OpCounter())
     np.testing.assert_allclose(got, np.linalg.solve(matrix, vals), rtol=1e-9)
+
+
+@pytest.mark.parametrize("p", [300, 500])
+def test_gaussian_kernel_holds_one_working_copy(p):
+    # the n x n copy plus O(n * PANEL) scratch: no (n - k1) x (n - k1) product
+    matrix, vals = random_system(p)
+    tracemalloc.start()
+    try:
+        bench.gaussian_solve_floats(matrix, vals, OpCounter())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (p * p + 6 * p * bench.PANEL)
 
 
 def test_gaussian_kernel_leaves_its_inputs_unchanged():

@@ -209,6 +209,20 @@ def test_nonpositive_n_is_exit_two(capsys, command):
     assert "need n >= 1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--nodes", "1,2", "--values", "3,4", "--n", str(10**30)],
+    ["kernel", "--nodes", "1,2", "--n", str(10**30)],
+    ["kernel", "--json", None],
+], ids=["solve-flag", "kernel-flag", "json"])
+def test_n_past_the_index_range_is_exit_two(tmp_path, capsys, argv):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"nodes": ["1", "2"], "n": 10**30}), encoding="utf-8")
+    argv = [str(path) if arg is None else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: n is too large") and err.count("\n") == 1
+
+
 def test_nonfinite_float_result_is_exit_two(capsys):
     code, out, err = run_cli(capsys, "interpolate", "--float", "--nodes", "0,1e-308",
                              "--values", "0,1e10")
@@ -294,6 +308,14 @@ def test_csv_invalid_utf8_is_exit_one(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert f"cannot read {path}" in err
+
+
+def test_csv_cell_past_the_reader_limit_is_exit_one(tmp_path, capsys):
+    path = tmp_path / "points.csv"
+    path.write_text("0,1\n1," + "9" * 200000 + "\n", encoding="utf-8")  # csv allows 131072
+    code, out, err = run_cli(capsys, "interpolate", "--csv", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot read {path}: field larger than field limit")
 
 
 def test_json_invalid_utf8_is_exit_one(tmp_path, capsys):
@@ -384,7 +406,8 @@ def test_json_flag_n_overrides_file(tmp_path, capsys):
     {"nodes": ["1", "2"], "values": "12"},
     {"nodes": 5, "values": ["1"]},
     {"nodes": ["1", "2"], "values": ["1", "2"], "n": True},
-], ids=["nodes-string", "values-string", "nodes-number", "n-bool"])
+    {"nodes": None, "values": ["", "1"]},
+], ids=["nodes-string", "values-string", "nodes-number", "n-bool", "nodes-null"])
 def test_json_wrong_types_are_exit_one(tmp_path, capsys, data):
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(data), encoding="utf-8")
@@ -392,6 +415,20 @@ def test_json_wrong_types_are_exit_one(tmp_path, capsys, data):
     assert code == 1
     assert out == ""
     assert "must be" in err
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100000 + "]" * 100000,
+    '{"nodes": ' + "[" * 100000 + "]" * 100000 + "}",
+    '{"nodes": ["1"], "values": ["2"], "n": ' + "1" * 5000 + "}",
+], ids=["deep-array", "deep-nodes", "long-int"])
+def test_json_the_decoder_refuses_is_exit_one(tmp_path, capsys, text):
+    path = tmp_path / "problem.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "interpolate", "--json", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path} is not valid JSON: ")
+    assert err.count("\n") == 1
 
 
 def test_conflicting_sources_rejected(tmp_path, capsys):

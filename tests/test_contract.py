@@ -1,0 +1,149 @@
+"""The CLI's exit-code contract over hostile inputs.
+
+Whatever the argv and the input file, `cli.main` returns 0-3 and raises
+nothing.  Exits 1 and 2 end stderr with an "error: " line; exit 0 prints
+its result and exit 3 its inconsistency report as JSON on stdout.  Argv and files come from a small grammar of valid
+and malformed literals, exponents at the digit bound and just past it,
+duplicate nodes, wrong JSON types, deeply nested JSON, ragged CSV and
+byte-order marks.
+"""
+
+import io
+import json
+import re
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+
+import hypothesis.strategies as st
+from hypothesis import HealthCheck, given, settings
+
+from vandersolve.cli import main
+
+BOUND = sys.get_int_max_str_digits()
+DEEP = 100000  # past any recursion limit of the JSON decoder
+
+valid_literals = st.one_of(
+    st.integers(-30, 30).map(str),
+    st.builds("{}/{}".format, st.integers(-30, 30), st.integers(1, 12)),
+    st.builds("{}.{:03d}".format, st.integers(-9, 9), st.integers(0, 999)),
+    st.sampled_from(["+7", "-0", "1_000", " 3 ", "2.5e-3", "-4E+2", "0.000", "6/4"]),
+)
+# Exponents at the digit bound parse; one past it is a parse error.
+bound_literals = st.sampled_from(
+    [f"1e{BOUND}", f"-7e-{BOUND}", f"3.5E+{BOUND}", f"1e{BOUND + 1}", f"2e-{BOUND + 1}"])
+malformed_literals = st.sampled_from(
+    ["", "abc", "1/0", "1//2", "--1", "1e", "0x10", "nan", "inf", "1.2.3", "1 2", "1/2/3",
+     "1" * (BOUND + 1), "\x00", "½"])
+small_sizes = st.integers(1, 40)
+sizes = st.one_of(small_sizes, small_sizes, small_sizes, st.sampled_from([10**20, 10**30]))
+
+
+@st.composite
+def literal_lists(draw, p: int, bound: bool) -> list:
+    """p distinct valid literals, sometimes with a hostile entry or a duplicate."""
+    items = draw(st.lists(valid_literals, min_size=p, max_size=p, unique_by=Fraction))
+    hostile = st.one_of(malformed_literals, bound_literals) if bound else malformed_literals
+    if draw(st.integers(0, 3)) == 0:
+        items[draw(st.integers(0, p - 1))] = draw(hostile)
+    if p > 1 and draw(st.integers(0, 4)) == 0:
+        items[draw(st.integers(1, p - 1))] = items[0]
+    return items
+
+
+def _csv_text(draw, nodes: list, values) -> tuple:
+    rows = [[a] if values is None else [a, v] for a, v in zip(nodes, values or nodes)]
+    if values is not None and draw(st.integers(0, 4)) == 0:  # ragged
+        rows[draw(st.integers(0, len(rows) - 1))].pop()
+    if draw(st.booleans()):
+        rows.insert(0, ["x", "y"][:len(rows[0])])
+    sep = draw(st.sampled_from([","] * 8 + [";", "\t"]))
+    text = "".join(sep.join(row) + "\n" for row in rows)
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    pieces = [(text.encode("utf-8"), 1)]
+    if draw(st.integers(0, 9)) == 0:
+        pieces += [(b"1,", 1), (b"9", 200000), (b"\n", 1)]  # past the csv field limit
+    if draw(st.integers(0, 9)) == 0:
+        pieces.append((b"\xff", 1))  # not UTF-8
+    return tuple(pieces)
+
+
+def _json_text(draw, nodes: list, values, n) -> tuple:
+    deep = ((b"[", DEEP), (b"]", DEEP))
+    shape = draw(st.sampled_from(["object"] * 6 + ["wrong-type", "deep", "deep-nodes",
+                                                    "nested-node", "list"]))
+    if shape == "deep":
+        return deep
+    if shape == "deep-nodes":
+        return ((b'{"nodes": ', 1), *deep, (b"}", 1))
+    data = {"nodes": [int(a) if re.fullmatch(r"-?[0-9]{1,9}", a) and draw(st.booleans()) else a
+                      for a in nodes]}
+    if values is not None:
+        data["values"] = values
+    if n is not None:
+        data["n"] = n
+    if shape == "wrong-type":
+        key = draw(st.sampled_from(["nodes", "values", "n"]))
+        data[key] = draw(st.sampled_from(["12", 5, 2.5, True, None, {"a": 1}, [[1]], 1e400]))
+    elif shape == "nested-node":
+        data["nodes"][0] = json.loads("[" * 50 + "1" + "]" * 50)
+    elif shape == "list":
+        data = data["nodes"]
+    text = json.dumps(data)
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    return ((text.encode("utf-8"), 1),)
+
+
+@st.composite
+def invocations(draw) -> tuple:
+    """(argv, name of the input file or None, its content as (bytes, repeat) pieces).
+
+    The pieces keep a 200 kB file out of the example's repr.
+    """
+    command = draw(st.sampled_from(["interpolate", "solve", "kernel"]))
+    bound = draw(st.integers(0, 4)) == 0
+    p = draw(st.integers(1, 4 if bound else 30))  # exact work on 10**4300 grows fast
+    nodes = draw(literal_lists(p, bound))
+    values = None
+    if command != "kernel" or draw(st.integers(0, 9)) == 0:  # kernel takes no values
+        values = draw(literal_lists(p, bound)) if draw(st.integers(0, 9)) else nodes[:-1]
+    wants_n = command != "interpolate"
+    if draw(st.integers(0, 9)) == 0:  # kernel without --n, interpolate with it
+        wants_n = not wants_n
+    n = draw(sizes) if wants_n else None
+    flags = [flag for flag in ("--verify", "--float") if draw(st.booleans())]
+    source = draw(st.sampled_from(["flags", "csv", "json"]))
+    if source == "flags":
+        argv = [command, "--nodes=" + ",".join(nodes), *flags]
+        if values is not None:
+            argv.append("--values=" + ",".join(values))
+        if n is not None:
+            argv.append(f"--n={n}")
+        return argv, None, ()
+    if source == "csv":
+        argv = [command, *flags]
+        if n is not None:
+            argv.append(f"--n={n}")
+        return argv, "problem.csv", _csv_text(draw, nodes, values)
+    return [command, *flags], "problem.json", _json_text(draw, nodes, values, n)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(invocations())
+def test_every_input_keeps_the_exit_code_contract(tmp_path_factory, case):
+    argv, name, pieces = case
+    if name is not None:
+        path = tmp_path_factory.mktemp("contract") / name
+        path.write_bytes(b"".join(chunk * repeat for chunk, repeat in pieces))
+        argv = [*argv, "--csv" if name.endswith(".csv") else "--json", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), err.getvalue()
+    if code in (0, 3):  # a result, or the report of an inconsistent system
+        json.loads(out.getvalue())
+    else:
+        assert err.getvalue().splitlines()[-1].startswith("error: "), err.getvalue()
