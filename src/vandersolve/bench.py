@@ -8,13 +8,16 @@ instrumentation of the pure-Python paths); the kernels here run vectorized
 so the largest sizes stay affordable.  `run_benchmark` returns the JSON
 payload of `vandersolve bench` itself.
 
-The closed form streams: it keeps one deflation column at a time and a
-running product for the column denominators, so it needs O(p) memory
-(Bjorck & Pereyra, Math. Comp. 24, 1970, do O(p^2) work in O(p) memory
-too).  Elimination runs in panels of PANEL columns, as LAPACK's dgetrf
-does: each panel is factored on a contiguous copy, its rows are
-permuted once, and matrix products apply it to the trailing block, one
-block of PANEL rows at a time.  It keeps one n x n working copy plus
+The closed form streams in blocks of PANEL columns: the column
+denominators multiply PANEL factors into their running product per
+numpy call, and PANEL deflation columns are written into one block that
+a single matrix-vector product dots with the scaled right-hand side.  So
+it needs O(PANEL * p) memory, never a p x p grid (Bjorck & Pereyra,
+Math. Comp. 24, 1970, do O(p^2) work in O(p) memory too).
+Elimination runs in panels of PANEL columns, as LAPACK's dgetrf does:
+each panel is factored on a contiguous copy, its rows are permuted
+once, and matrix products apply it to the trailing block, one block of
+PANEL rows at a time.  It keeps one n x n working copy plus
 O(n * PANEL) scratch, and it forms the same products as unblocked
 elimination, so its counts are unchanged.
 
@@ -33,7 +36,7 @@ import numpy as np
 
 from .field import OpCounter
 
-PANEL = 32  # columns per elimination panel, rows per trailing-update block
+PANEL = 32  # columns per elimination panel or closed-form block; rows per trailing-update block
 
 
 def bench_nodes(p: int) -> np.ndarray:
@@ -58,56 +61,82 @@ def sigma_floats(nodes: np.ndarray, ops: OpCounter) -> np.ndarray:
     return s
 
 
-def deflation_columns(nodes: np.ndarray, sigma: np.ndarray, ops: OpCounter):
-    """Yield the deflation columns t = 0..p-1 in order, each a fresh array.
-
-    Column t holds codegree t of every deflated row: col_0 = 1 and
-    col_t = sigma_t - a * col_(t-1), so only one column is live at a time.
-    Overflow warnings follow the caller's numpy error state.
-    """
-    p = len(nodes)
-    col = np.ones(p)
-    yield col
-    for t in range(1, p):
-        col = nodes * col
-        np.subtract(sigma[t], col, out=col)
-        ops.muls += p
-        ops.subs += p
-        yield col
-
-
 def deflate_all_floats(nodes: np.ndarray, sigma: np.ndarray, scaled: np.ndarray,
                        ops: OpCounter) -> np.ndarray:
     """The deflation layer with its combine: u[n-1-t] = column t @ scaled.
 
-    The columns stream from `deflation_columns`, so memory stays O(p).  u is
-    the solution before the sign flips of the odd codegrees.
+    Column t holds codegree t of every deflated row: col_0 = 1 and
+    col_t = sigma_t - a * col_(t-1).  The columns are written, PANEL at a
+    time, into the rows of one PANEL x p block, and one matrix-vector
+    product dots the whole block with the scaled right-hand side, so
+    memory stays O(PANEL * p).  u is the solution before the sign flips of
+    the odd codegrees.
     """
     n = len(nodes)
+    sig = sigma.tolist()
     u = np.empty(n)
+    block = np.empty((min(PANEL, n), n))
+    rows = list(block)  # views of the block's rows, made once
+    prev = None  # the last column written, read by the next one
     with np.errstate(all="ignore"):
-        for t, col in enumerate(deflation_columns(nodes, sigma, ops)):
-            u[n - 1 - t] = col @ scaled
-    ops.muls += n * n
+        for t0 in range(0, n, PANEL):
+            t1 = min(t0 + PANEL, n)
+            for col, s in zip(rows, sig[t0:t1]):
+                if prev is None:
+                    col.fill(1.0)  # col_0
+                else:
+                    np.multiply(nodes, prev, out=col)
+                    np.subtract(s, col, out=col)
+                prev = col
+            u[n - t1:n - t0] = (block[:t1 - t0] @ scaled)[::-1]
+    ops.muls += n * (n - 1)  # columns 1..p-1, p muls and p subs each
+    ops.subs += n * (n - 1)
+    ops.muls += n * n  # the dots
     ops.adds += n * n
     return u
 
 
+def _column_denominators(nodes: np.ndarray) -> np.ndarray:
+    """prod_(k != j) (a_j - a_k) for every j, as a running product over k.
+
+    The factors for PANEL values of k fill the rows below the running
+    product in one (PANEL + 1) x p scratch array, and one reduce over axis
+    0 multiplies them in row by row: bit-identical to `denoms *= factor`
+    one k at a time.
+
+    The ufunc buffer is cut to one row, a multiple of 16 elements as numpy
+    requires.  With room for several rows (the default holds 8192
+    elements), numpy 2.4 runs the broadcast subtraction through the buffer,
+    copying its operands, and it measured about twice as slow for p below
+    about 2700.
+    """
+    n = len(nodes)
+    denoms = np.ones(n)
+    rows = np.empty((min(PANEL, n) + 1, n))
+    with np.errstate():  # restores the buffer size on exit
+        np.setbufsize(16 * -(-n // 16))
+        for k0 in range(0, n, PANEL):
+            k1 = min(k0 + PANEL, n)
+            block = rows[:k1 - k0 + 1]
+            block[0] = denoms
+            np.subtract(nodes, nodes[k0:k1, None], out=block[1:])
+            block[np.arange(1, k1 - k0 + 1), np.arange(k0, k1)] = 1.0  # the k-th factor
+            np.multiply.reduce(block, axis=0, out=denoms)
+    return denoms
+
+
 def solve_square_floats(nodes: np.ndarray, values: np.ndarray, ops: OpCounter) -> np.ndarray:
-    """Closed-form quadratic solve, float lane, in O(p) memory.
+    """Closed-form quadratic solve, float lane, in O(PANEL * p) memory.
 
     The column denominators prod_(k != j) (a_j - a_k) are built as a running
-    product over k, then `deflate_all_floats` dots each deflation column
-    with the scaled right-hand side as it is produced.
+    product, PANEL factors per step, then `deflate_all_floats` dots each
+    block of PANEL deflation columns with the scaled right-hand side as
+    soon as the block is written.
     """
     n = len(nodes)
     sigma = sigma_floats(nodes, ops)
     with np.errstate(all="ignore"):
-        denoms = np.ones(n)
-        for k in range(n):
-            factor = nodes - nodes[k]
-            factor[k] = 1.0
-            denoms *= factor
+        denoms = _column_denominators(nodes)
         ops.subs += n * (n - 1)  # the j = k factor is not a field operation
         ops.muls += n * (n - 1)
         scaled = values / denoms

@@ -27,6 +27,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -56,12 +57,24 @@ class CliError(Exception):
         self.code = code
 
 
+_LONG_WORD = re.compile(r"\S{41,}")
+
+
 class _ArgumentParser(argparse.ArgumentParser):
-    """Usage errors exit 1 (parse error); argparse's own 2 means an invalid problem here."""
+    """Usage errors exit 1 (parse error); argparse's own 2 means an invalid problem here.
+
+    Options must be spelled out: an abbreviation such as `--n` for `--nodes`
+    is an unrecognized argument.
+    """
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise CliError(message, EXIT_PARSE)
+        # argparse quotes a rejected literal whole: cut each word to 40
+        # characters, as parse_scalar does
+        raise CliError(_LONG_WORD.sub(lambda m: m.group()[:40] + "...", message), EXIT_PARSE)
 
 
 @dataclass
@@ -435,7 +448,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "system solving, kernel bases and symmetric coefficients.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+    common = _ArgumentParser(add_help=False)
     common.add_argument("--nodes", help="comma-separated abscissae, e.g. 1,3/2,-2")
     common.add_argument("--values", help="comma-separated right-hand side")
     common.add_argument("--csv", help="CSV file: node[,value] per row, header optional")

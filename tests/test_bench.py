@@ -14,10 +14,23 @@ from vandersolve.symfuncs import NodeSet, compute_sigma, deflate_all
 from vandersolve.vandermonde import DenseMatrix, solve_square
 
 SIZES = [1, 2, 3, 5, 8]
+# both sides of a PANEL block boundary, and more than two blocks
+BLOCKS = [bench.PANEL - 1, bench.PANEL, bench.PANEL + 1, 2 * bench.PANEL + 3]
+# Doubles lose every digit of the closed form on bench_nodes by p = PANEL,
+# so the comparisons with the exact lane shrink PANEL to put the block
+# boundaries at sizes where doubles still agree with it.
+SMALL_BLOCKS = [(panel, p) for panel in (2, 3)
+                for p in (panel - 1, panel, panel + 1, 2 * panel + 1)]
 
 
 def exact_nodes(p):
     return NodeSet(tuple(Fraction(x).limit_denominator(10**6) for x in bench.bench_nodes(p)))
+
+
+def deflation_grid(nodes, sigma):
+    """The deflated rows, read through the kernel: scaled = e_j gives row j, reversed."""
+    return np.array([bench.deflate_all_floats(nodes, sigma, e, OpCounter())[::-1]
+                     for e in np.eye(len(nodes))])
 
 
 def test_bench_nodes_are_distinct_and_bounded():
@@ -35,25 +48,44 @@ def test_sigma_kernel_matches_exact_path(p):
 
 @pytest.mark.parametrize("p", SIZES)
 def test_deflation_kernel_matches_exact_path(p):
-    ops = OpCounter()
     nodes = bench.bench_nodes(p)
-    sigma = bench.sigma_floats(nodes, ops)
-    grid = np.column_stack(list(bench.deflation_columns(nodes, sigma, ops)))
+    grid = deflation_grid(nodes, bench.sigma_floats(nodes, OpCounter()))
     table = deflate_all(compute_sigma(exact_nodes(p)))
     want = [[float(x) for x in row] for row in table.deflated]
     assert np.allclose(grid, want, rtol=1e-9)
 
 
-@pytest.mark.parametrize("p", SIZES)
+@pytest.mark.parametrize("panel,p", SMALL_BLOCKS)
+def test_deflation_kernel_matches_exact_path_across_blocks(monkeypatch, panel, p):
+    monkeypatch.setattr(bench, "PANEL", panel)
+    test_deflation_kernel_matches_exact_path(p)
+
+
+@pytest.mark.parametrize("p", SIZES + BLOCKS)
 def test_deflation_layer_dots_each_column_with_the_scaled_values(p):
     nodes, scaled = bench.bench_nodes(p), bench.bench_values(p)
     sigma = bench.sigma_floats(nodes, OpCounter())
-    grid = np.column_stack(list(bench.deflation_columns(nodes, sigma, OpCounter())))
+    grid = deflation_grid(nodes, sigma)
     ops = OpCounter()
     u = bench.deflate_all_floats(nodes, sigma, scaled, ops)
     np.testing.assert_allclose(u[::-1], grid.T @ scaled, rtol=1e-12)
     assert (ops.muls, ops.subs, ops.adds) == (p * (p - 1) + p * p, p * (p - 1), p * p)
     assert ops.divs == ops.negs == 0
+
+
+def sequential_denominators(nodes):
+    denoms = np.ones(len(nodes))
+    for k in range(len(nodes)):
+        factor = nodes - nodes[k]
+        factor[k] = 1.0
+        denoms *= factor
+    return denoms
+
+
+@pytest.mark.parametrize("p", [1, 2] + BLOCKS + [300])
+def test_blocked_denominators_are_the_sequential_product(p):
+    nodes = bench.bench_nodes(p)
+    assert np.array_equal(bench._column_denominators(nodes), sequential_denominators(nodes))
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -71,6 +103,13 @@ def test_float_solve_matches_exact_solve_on_curved_values(n):
     got = bench.solve_square_floats(floats, 1.0 / (1.0 + floats), OpCounter())
     want = [float(x) for x in solve_square(nodes, [1 / (1 + a) for a in nodes])]
     np.testing.assert_allclose(got, want, rtol=1e-8)
+
+
+@pytest.mark.parametrize("panel,n", SMALL_BLOCKS)
+def test_float_solve_matches_exact_solve_across_blocks(monkeypatch, panel, n):
+    monkeypatch.setattr(bench, "PANEL", panel)
+    test_float_solve_matches_exact_solve(n)
+    test_float_solve_matches_exact_solve_on_curved_values(n)
 
 
 def test_closed_form_runs_in_linear_memory():

@@ -125,6 +125,27 @@ def test_usage_error_is_exit_one(capsys, argv):
     assert "error: " in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("interpolate", "--values", "5", "--n", "3"),  # interpolate has no --n: it read as --nodes
+    ("interpolate", "--nodes", "1,2", "--values", "3,4", "--n", "7"),
+    ("solve", "--values", "1", "--nod", "1"),
+    ("bench", "--size", "8,16"),
+])
+def test_abbreviated_option_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1] == f"error: unrecognized arguments: {' '.join(argv[-2:])}"
+
+
+def test_usage_error_cuts_a_long_literal(capsys):
+    literal = "1" + "0" * 5000
+    code, out, err = run_cli(capsys, "kernel", "--nodes", "1", "--n", literal)
+    assert code == 1
+    assert out == ""
+    assert err.splitlines()[-1] == f"error: argument --n: invalid int value: '{literal[:39]}..."
+
+
 def test_help_is_exit_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--help"])
