@@ -2,23 +2,30 @@
 
 Scalars arrive as "p/q" or decimal literals (inline flags, CSV or JSON
 files); results leave as compact JSON on stdout with stable key order, or
-as an aligned table with --pretty.  Every literal is parsed, solved and
-verified exactly, and each command returns its exact payload.  Results
-are rendered once, at output: as exact "p" or "p/q" strings, or under
---float as their correctly rounded doubles.
+as an aligned table with --pretty.  `main` runs four stages, registered
+per subcommand in `_build_parser`: parse (every literal, read exactly,
+into one exact problem), solve (the exact payload), check (--verify) and
+render.  Results are rendered once, at output: as exact "p" or "p/q"
+strings, or under --float as their correctly rounded doubles.
 
---verify re-evaluates every solution at every node, proves a kernel
-basis independent by its echelon of trailing ones, cross-checks
+--verify checks the exact payload, the very values that get rendered,
+before rendering: it re-evaluates every solution at every node, proves a
+kernel basis independent by its echelon of trailing ones, cross-checks
 `interpolate` against exact Gaussian elimination, and checks `sigma` and
 its deflated rows by a quadratic certificate (the signed sigma row is a
 monic polynomial vanishing at every node, and each deflated row times
 x - a_i gives it back), with no limit on the node count.
 
+One size budget, MAX_ENTRIES, bounds what a run may build: `solve` and
+`kernel` refuse an n whose result would hold more entries, and `bench` a
+size whose n x n matrix would; both exit 2 in the parse stage.
+
 Exit codes: 0 success, 1 usage or parse error, missing input, unwritable
 --out or stdout closed early, 2 invalid problem (duplicate nodes,
-dimension mismatch, n < 1 or past sys.maxsize, a --float result too large
-for a double), 3 inconsistent overdetermined system, 4 --verify mismatch,
-which would mean a bug with or without --float.
+dimension mismatch, n < 1, an n or a bench size past the size budget, a
+--float result too large for a double), 3 inconsistent overdetermined
+system, 4 --verify mismatch, which would mean a bug with or without
+--float.
 """
 
 import argparse
@@ -43,6 +50,10 @@ EXIT_PARSE = 1
 EXIT_INVALID = 2
 EXIT_INCONSISTENT = 3
 EXIT_VERIFY = 4
+
+# The most result entries (solve, kernel) or matrix entries (bench) one run
+# may build; a larger request exits 2 before anything is built.
+MAX_ENTRIES = 10**7
 
 # Payload keys that hold exact results, rendered by `_emit`.
 EXACT_KEYS = frozenset(
@@ -70,6 +81,14 @@ class _ArgumentParser(argparse.ArgumentParser):
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
 
+    def parse_known_args(self, args=None, namespace=None):
+        # Each parser reports its own leftovers, so a subcommand's unknown
+        # option comes under the subcommand's usage line.
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
+
     def error(self, message):
         self.print_usage(sys.stderr)
         # argparse quotes a rejected literal whole: cut each word to 40
@@ -78,38 +97,30 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 @dataclass
-class ProblemInput:
-    """One parsed problem: scalar literals and the ambient dimension."""
+class Problem:
+    """One parsed problem: the exact node set, values and ambient dimension."""
 
-    nodes: list
+    nodes: NodeSet
     values: list | None = None
     n: int | None = None
 
 
-def _node_set(problem: ProblemInput) -> NodeSet:
-    return NodeSet(tuple(parse_scalar(t) for t in problem.nodes))
+def _dimension(n: int, p: int) -> int:
+    """Check the ambient dimension of solve and kernel (--n or the file's "n").
 
-
-def _value_list(problem: ProblemInput, nodes: NodeSet) -> list:
-    if problem.values is None:
-        raise CliError("this command needs values (--values, CSV or JSON)", EXIT_PARSE)
-    if len(problem.values) != len(nodes):
-        raise CliError(
-            f"{len(nodes)} nodes but {len(problem.values)} values", EXIT_INVALID)
-    return [parse_scalar(t) for t in problem.values]
-
-
-def _dimension(n: int) -> int:
-    """Check the ambient dimension of solve and kernel (--n or the file's "n")."""
+    The result holds at most n * max(n - p + 1, 1) entries: the
+    particular solution and max(n - p, 0) kernel vectors of n entries.
+    """
     if n < 1:
         raise CliError("need n >= 1", EXIT_INVALID)
-    if n > sys.maxsize:  # no index, list or range can be that long
-        raise CliError(f"n is too large: need n <= {sys.maxsize}", EXIT_INVALID)
+    if n * max(n - p + 1, 1) > MAX_ENTRIES:
+        raise CliError(f"n is too large: the result would pass {MAX_ENTRIES} entries "
+                       f"(n * max(n - p + 1, 1) with p = {p})", EXIT_INVALID)
     return n
 
 
 # ---------------------------------------------------------------------------
-# input assembly
+# parse stage
 
 
 def _is_scalar(text: str) -> bool:
@@ -185,7 +196,14 @@ def _split_flag(text: str) -> list:
     return items
 
 
-def _load_problem(args) -> ProblemInput:
+def _parse_problem(args) -> Problem:
+    """The parse stage of interpolate, solve, kernel and sigma, in the order its errors win.
+
+    interpolate and solve take one value per node; solve and kernel take an n.
+    """
+    rhs = args.command in ("interpolate", "solve")
+    if not rhs and args.values is not None:
+        raise CliError(f"{args.command} takes no values", EXIT_PARSE)
     sources = sum(x is not None for x in (args.nodes, args.csv, args.json))
     if sources == 0:
         raise CliError("no input: pass --nodes, --csv or --json", EXIT_PARSE)
@@ -206,11 +224,33 @@ def _load_problem(args) -> ProblemInput:
         values = _split_flag(args.values)
     if getattr(args, "n", None) is not None:
         n = args.n
-    return ProblemInput(nodes=nodes, values=values, n=n)
+    nodes = NodeSet(tuple(parse_scalar(t) for t in nodes))
+    if rhs and values is None:
+        raise CliError("this command needs values (--values, CSV or JSON)", EXIT_PARSE)
+    if rhs and len(values) != len(nodes):
+        raise CliError(f"{len(nodes)} nodes but {len(values)} values", EXIT_INVALID)
+    values = [parse_scalar(t) for t in values] if rhs else None
+    if not hasattr(args, "n"):  # interpolate and sigma have no ambient dimension
+        return Problem(nodes, values)
+    if n is None and args.command == "kernel":
+        raise CliError("kernel needs the ambient dimension --n", EXIT_PARSE)
+    return Problem(nodes, values, _dimension(len(nodes) if n is None else n, len(nodes)))
+
+
+def _parse_sizes(args) -> list:
+    """The parse stage of bench: the size list, each size's n x n matrix within MAX_ENTRIES."""
+    try:
+        sizes = [int(s) for s in _split_flag(args.sizes)]
+    except ValueError as exc:
+        raise CliError(f"bad size list {args.sizes!r}", EXIT_PARSE) from exc
+    if max(sizes) ** 2 > MAX_ENTRIES:
+        raise CliError(f"size {max(sizes)} is too large: its matrix would pass "
+                       f"{MAX_ENTRIES} entries", EXIT_INVALID)
+    return sizes
 
 
 # ---------------------------------------------------------------------------
-# verification helpers (--verify); failures here mean a bug in the library
+# check stage (--verify), on the exact payload; a failure here means a bug in the library
 
 
 def _verify_fail(detail: str):
@@ -224,12 +264,13 @@ def _verify_residual(poly, nodes, values, what: str):
         _verify_fail(f"{what} misses its value at node {exact_str(nodes[miss[0]])}")
 
 
-def _verify_basis(nodes, vectors, n: int):
-    """max(n - p, 0) annihilated vectors, vector k ending in a 1 at index p + k.
+def _verify_basis(problem: Problem, payload: dict):
+    """kernel: max(n - p, 0) annihilated vectors, vector k ending in a 1 at index p + k.
 
     The trailing ones form an echelon pattern, so the vectors are
     independent and, with distinct nodes, span the whole kernel.
     """
+    nodes, vectors, n = problem.nodes, payload["kernel_basis"], problem.n
     p = len(nodes)
     if len(vectors) != max(n - p, 0):
         _verify_fail("wrong kernel dimension")
@@ -240,16 +281,23 @@ def _verify_basis(nodes, vectors, n: int):
         _verify_residual(Polynomial(vec), nodes, zeros, f"kernel vector {k}")
 
 
-def _verify_interpolation(nodes, values, poly):
-    _verify_residual(poly, nodes, values, "interpolant")
-    reference = oracle.solve_by_elimination(nodes, values)
-    padded = list(poly.coeffs) + [0] * (len(nodes) - len(poly.coeffs))
-    if padded != reference:
+def _verify_solution(problem: Problem, payload: dict):
+    """solve: the particular solution takes every value, and its kernel basis passes."""
+    _verify_residual(Polynomial(payload["particular"]), problem.nodes, problem.values, "solution")
+    _verify_basis(problem, payload)
+
+
+def _verify_interpolation(problem: Problem, payload: dict):
+    """interpolate: every residual vanishes, and exact elimination gives the same coefficients."""
+    nodes, values, coeffs = problem.nodes, problem.values, payload["coefficients"]
+    _verify_residual(Polynomial(coeffs), nodes, values, "interpolant")
+    padded = list(coeffs) + [0] * (len(nodes) - len(coeffs))
+    if padded != oracle.solve_by_elimination(nodes, values):
         _verify_fail("coefficients disagree with the elimination oracle")
 
 
-def _verify_sigma(nodes, table):
-    """Quadratic certificate for sigma and every deflated row the table holds.
+def _verify_sigma(problem: Problem, payload: dict):
+    """sigma: a quadratic certificate for sigma and every deflated row the payload holds.
 
     sigma has p + 1 entries, sigma(0) = 1, and
     P(x) = sum_t (-1)^t sigma(t) x^(p-t) vanishes at the p distinct nodes,
@@ -261,14 +309,14 @@ def _verify_sigma(nodes, table):
     S(t) M d = L (d R(t) + n R(t-1)), with both sides divided by
     gcd(L, M d).
     """
+    nodes, sigma = problem.nodes, payload["sigma"]
     p = len(nodes)
-    sigma = table.sigma
     if len(sigma) != p + 1 or sigma[0] != 1:
         _verify_fail(f"sigma is not a monic row of {p + 1} entries")
     signed = Polynomial(tuple(sigma[t] if t % 2 == 0 else -sigma[t]
                               for t in range(p, -1, -1)))
     _verify_residual(signed, nodes, [0] * p, "sigma polynomial")
-    deflated = table.deflated
+    deflated = payload.get("deflated")
     if deflated is None:
         return
     if len(deflated) != p:
@@ -295,81 +343,54 @@ def _over_common_denominator(row) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# commands: each returns (exact payload, exit_code)
+# solve stage: each command returns (exact payload, exit code)
 
 
-def cmd_interpolate(problem: ProblemInput, verify: bool = False) -> tuple:
-    nodes = _node_set(problem)
-    values = _value_list(problem, nodes)
-    poly = interpolate(nodes, values)
-    payload = {"coefficients": poly.coeffs, "degree": poly.degree}
-    if verify:
-        _verify_interpolation(nodes, values, poly)
-        payload["verified"] = True
-    return payload, EXIT_OK
+def cmd_interpolate(problem: Problem, args) -> tuple:
+    poly = interpolate(problem.nodes, problem.values)
+    return {"coefficients": poly.coeffs, "degree": poly.degree}, EXIT_OK
 
 
-def cmd_solve(problem: ProblemInput, verify: bool = False) -> tuple:
-    nodes = _node_set(problem)
-    values = _value_list(problem, nodes)
-    n = _dimension(problem.n if problem.n is not None else len(nodes))
+def cmd_solve(problem: Problem, args) -> tuple:
+    nodes, values, n = problem.nodes, problem.values, problem.n
     if len(nodes) > n:
         result = solve_overdetermined(nodes, values, n)
         if not result.consistent:
-            payload = {"inconsistent_at": result.inconsistent_at,
-                       "lhs": result.lhs, "rhs": result.rhs}
-            return payload, EXIT_INCONSISTENT
+            return ({"inconsistent_at": result.inconsistent_at, "lhs": result.lhs,
+                     "rhs": result.rhs}, EXIT_INCONSISTENT)
         particular, vectors = result.solution, ()
     else:
         space = solve_general(nodes, values, n)
         particular, vectors = space.particular, space.basis.vectors
-    payload = {"particular": particular, "kernel_basis": vectors}
-    if verify:
-        _verify_residual(Polynomial(particular), nodes, values, "solution")
-        _verify_basis(nodes, vectors, n)
-        payload["verified"] = True
-    return payload, EXIT_OK
+    return {"particular": particular, "kernel_basis": vectors}, EXIT_OK
 
 
-def cmd_kernel(problem: ProblemInput, verify: bool = False) -> tuple:
-    nodes = _node_set(problem)
-    if problem.n is None:
-        raise CliError("kernel needs the ambient dimension --n", EXIT_PARSE)
-    n = _dimension(problem.n)
+def cmd_kernel(problem: Problem, args) -> tuple:
+    nodes, n = problem.nodes, problem.n
     if len(nodes) > n:
         raise CliError(
             f"matrix with {len(nodes)} rows and {n} columns has a trivial kernel; "
             'use "vandersolve solve" instead', EXIT_INVALID)
     basis = kernel_basis(nodes, n)
-    payload = {"dimension": basis.dimension, "kernel_basis": basis.vectors}
-    if verify:
-        _verify_basis(nodes, basis.vectors, n)
-        payload["verified"] = True
-    return payload, EXIT_OK
+    return {"dimension": basis.dimension, "kernel_basis": basis.vectors}, EXIT_OK
 
 
-def cmd_sigma(problem: ProblemInput, deflated: bool = False, verify: bool = False) -> tuple:
-    nodes = _node_set(problem)
-    table = compute_sigma(nodes)
-    if deflated:
-        table = deflate_all(table)
-    payload = {"sigma": table.sigma}
-    if table.deflated is not None:
-        payload["deflated"] = table.deflated
-    if verify:
-        _verify_sigma(nodes, table)
-        payload["verified"] = True
-    return payload, EXIT_OK
+def cmd_sigma(problem: Problem, args) -> tuple:
+    table = compute_sigma(problem.nodes)
+    if not args.deflated:
+        return {"sigma": table.sigma}, EXIT_OK
+    table = deflate_all(table)
+    return {"sigma": table.sigma, "deflated": table.deflated}, EXIT_OK
 
 
-def cmd_bench(sizes, repetitions: int) -> tuple:
+def cmd_bench(sizes, args) -> tuple:
     from . import bench  # numpy stays out of the exact lanes
 
-    return bench.run_benchmark(sizes, repetitions), EXIT_OK
+    return bench.run_benchmark(sizes, args.reps), EXIT_OK
 
 
 # ---------------------------------------------------------------------------
-# rendering and dispatch
+# render stage, argument parser, main
 
 
 def _pretty_bench(payload: dict) -> str:
@@ -460,21 +481,27 @@ def _build_parser() -> argparse.ArgumentParser:
                              "certificates, an elimination cross-check")
     common.add_argument("--pretty", action="store_true", help="table output instead of JSON")
     common.add_argument("--out", help="write the output to a file instead of stdout")
+    common.set_defaults(parse=_parse_problem)
 
-    sub.add_parser("interpolate", parents=[common], help="Lagrange interpolation polynomial")
+    p_int = sub.add_parser("interpolate", parents=[common],
+                           help="Lagrange interpolation polynomial")
+    p_int.set_defaults(solve=cmd_interpolate, check=_verify_interpolation)
 
     p_solve = sub.add_parser("solve", parents=[common],
                              help="solve the p x n system (square, wide or tall)")
     p_solve.add_argument("--n", type=int, help="number of unknowns (default: node count)")
+    p_solve.set_defaults(solve=cmd_solve, check=_verify_solution)
 
     p_ker = sub.add_parser("kernel", parents=[common],
                            help="kernel basis of the p x n matrix")
     p_ker.add_argument("--n", type=int, help="number of columns")
+    p_ker.set_defaults(solve=cmd_kernel, check=_verify_basis)
 
     p_sig = sub.add_parser("sigma", parents=[common],
                            help="monomial coefficients of the node set")
     p_sig.add_argument("--deflated", action="store_true",
                        help="include every single-node-removed row")
+    p_sig.set_defaults(solve=cmd_sigma, check=_verify_sigma)
 
     p_bench = sub.add_parser("bench", help="closed form vs Gaussian elimination, float lane")
     p_bench.add_argument("--sizes", default="256,512,1024",
@@ -483,36 +510,19 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="timing repetitions per size (default 5)")
     p_bench.add_argument("--pretty", action="store_true")
     p_bench.add_argument("--out")
+    p_bench.set_defaults(parse=_parse_sizes, solve=cmd_bench)
     return parser
 
 
-def _dispatch(args) -> tuple:
-    if args.command == "bench":
-        try:
-            sizes = [int(s) for s in _split_flag(args.sizes)]
-        except ValueError as exc:
-            raise CliError(f"bad size list {args.sizes!r}", EXIT_PARSE) from exc
-        return cmd_bench(sizes, args.reps)
-
-    if args.command in ("kernel", "sigma") and args.values is not None:
-        raise CliError(f"{args.command} takes no values", EXIT_PARSE)
-    problem = _load_problem(args)
-    if args.command == "interpolate":
-        return cmd_interpolate(problem, verify=args.verify)
-    if args.command == "solve":
-        return cmd_solve(problem, verify=args.verify)
-    if args.command == "kernel":
-        return cmd_kernel(problem, verify=args.verify)
-    if args.command == "sigma":
-        return cmd_sigma(problem, deflated=args.deflated, verify=args.verify)
-    raise CliError(f"unknown command {args.command!r}", EXIT_PARSE)
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Parse one problem, solve it, check the exact payload under --verify, render it."""
     try:
-        args = parser.parse_args(argv)
-        payload, code = _dispatch(args)
+        args = _build_parser().parse_args(argv)
+        problem = args.parse(args)
+        payload, code = args.solve(problem, args)
+        if getattr(args, "verify", False) and code == EXIT_OK:  # bench has no --verify
+            args.check(problem, payload)
+            payload["verified"] = True
         _emit(payload, args)
     except BrokenPipeError:
         # The reader closed stdout early (`| head`).  Point stdout at devnull

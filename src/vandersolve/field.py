@@ -56,7 +56,7 @@ def parse_scalar(text: str) -> Fraction:
     try:
         return Fraction(literal)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ScalarParseError(f"cannot parse scalar {literal!r}") from exc
+        raise ScalarParseError(f"cannot parse scalar {literal[:40]!r}") from exc
 
 
 def exact_str(x) -> str:

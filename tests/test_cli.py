@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -138,6 +139,26 @@ def test_abbreviated_option_is_a_usage_error(capsys, argv):
     assert err.splitlines()[-1] == f"error: unrecognized arguments: {' '.join(argv[-2:])}"
 
 
+@pytest.mark.parametrize("argv,leftover", [
+    (("interpolate", "--values", "5", "--n", "3"), "--n 3"),
+    (("sigma", "--nodes", "1,2", "--bogus"), "--bogus"),
+    (("bench", "--size", "8,16"), "--size 8,16"),
+])
+def test_unknown_option_comes_under_the_subcommand_usage(capsys, argv, leftover):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"usage: vandersolve {argv[0]} [-h]")
+    assert err.splitlines()[-1] == f"error: unrecognized arguments: {leftover}"
+
+
+def test_parse_error_cuts_a_long_literal(capsys):
+    code, out, err = run_cli(capsys, "interpolate", "--nodes", "1,x" + "9" * 5000,
+                             "--values", "1,2")
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot parse scalar 'x{'9' * 39}'\n"
+    assert len(err) < 120
+
+
 def test_usage_error_cuts_a_long_literal(capsys):
     literal = "1" + "0" * 5000
     code, out, err = run_cli(capsys, "kernel", "--nodes", "1", "--n", literal)
@@ -242,6 +263,30 @@ def test_n_past_the_index_range_is_exit_two(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: n is too large") and err.count("\n") == 1
+
+
+# p = 1 asks for n entries in each of n vectors: the smallest n refused is
+# the first whose square passes the budget.
+SMALLEST_REFUSED = math.isqrt(cli.MAX_ENTRIES) + 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--nodes", "1", "--n", str(10**18)],
+    ["solve", "--nodes", "1", "--values", "1", "--n", str(10**18)],
+    ["kernel", "--nodes", "1", "--n", str(SMALLEST_REFUSED)],
+    ["solve", "--nodes", "1", "--values", "1", "--n", str(SMALLEST_REFUSED)],
+    ["kernel", "--json", None],
+], ids=["kernel-1e18", "solve-1e18", "kernel-smallest", "solve-smallest", "json-1e18"])
+def test_n_past_the_size_budget_is_refused_before_building(tmp_path, capsys, argv):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"nodes": ["1"], "n": 10**18}), encoding="utf-8")
+    argv = [str(path) if arg is None else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: n is too large: the result would pass ")
+    assert err.count("\n") == 1
+    # one below the smallest refused n passes the check (nothing is built here)
+    assert cli._dimension(SMALLEST_REFUSED - 1, 1) == SMALLEST_REFUSED - 1
 
 
 def test_nonfinite_float_result_is_exit_two(capsys):
@@ -723,6 +768,23 @@ def test_bench_needs_two_sizes(capsys):
 def test_bench_rejects_bad_size_list(capsys):
     code, _, _ = run_cli(capsys, "bench", "--sizes", "8,x")
     assert code == 1
+
+
+@pytest.mark.parametrize("sizes", [
+    "1,1099511627776", f"8,{SMALLEST_REFUSED}", f"8,{10**20}", f"8,{sys.maxsize + 1}",
+])
+def test_bench_size_past_the_budget_is_refused_before_numpy(sizes):
+    # a fresh interpreter, to see that numpy is never imported
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    script = ("import sys; from vandersolve.cli import main; "
+              f"code = main(['bench', '--sizes', '{sizes}', '--reps', '1']); "
+              "sys.exit(100 + code if 'numpy' in sys.modules else code)")
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    big = sizes.split(",")[1]
+    assert done.stderr == (f"error: size {big} is too large: its matrix would pass "
+                           f"{cli.MAX_ENTRIES} entries\n")
 
 
 # --- round trip ----------------------------------------------------------------------

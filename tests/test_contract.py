@@ -1,11 +1,13 @@
 """The CLI's exit-code contract over hostile inputs.
 
 Whatever the argv and the input file, `cli.main` returns 0-3 and raises
-nothing.  Exits 1 and 2 end stderr with an "error: " line; exit 0 prints
-its result and exit 3 its inconsistency report as JSON on stdout.  Argv and files come from a small grammar of valid
-and malformed literals, exponents at the digit bound and just past it,
-duplicate nodes, wrong JSON types, deeply nested JSON, ragged CSV and
-byte-order marks.
+nothing.  On exits 1 and 2 stderr is exactly one "error: " line, after
+the usage line if there is one, with no traceback and no module path;
+exit 0 prints its result and exit 3 its inconsistency report as JSON on
+stdout.  Argv and files come from a small grammar of valid and malformed
+literals, exponents at the digit bound and just past it, duplicate
+nodes, wrong JSON types, deeply nested JSON, ragged CSV, byte-order
+marks, sizes that the size budget refuses, and `bench` size lists.
 """
 
 import io
@@ -36,7 +38,15 @@ malformed_literals = st.sampled_from(
     ["", "abc", "1/0", "1//2", "--1", "1e", "0x10", "nan", "inf", "1.2.3", "1 2", "1/2/3",
      "1" * (BOUND + 1), "\x00", "½"])
 small_sizes = st.integers(1, 40)
-sizes = st.one_of(small_sizes, small_sizes, small_sizes, st.sampled_from([10**20, 10**30]))
+# n past the size budget is refused before anything is built
+sizes = st.one_of(small_sizes, small_sizes, small_sizes,
+                  st.sampled_from([10**4, 10**9, 10**18, sys.maxsize, 10**20, 10**30]))
+bench_sizes = st.one_of(
+    st.lists(st.integers(1, 8), min_size=2, max_size=3, unique=True).map(
+        lambda xs: ",".join(map(str, sorted(xs)))),
+    st.sampled_from(["8", "8,x", "", "2,,4", "4,2", "4,4", "0,4", "-1,4", "2.5,4", " 2, 4"]),
+    st.sampled_from([f"2,{10**4}", f"2,{10**20}", f"2,{sys.maxsize}", f"{10**30},2"]),
+)
 
 
 @st.composite
@@ -102,18 +112,24 @@ def invocations(draw) -> tuple:
 
     The pieces keep a 200 kB file out of the example's repr.
     """
-    command = draw(st.sampled_from(["interpolate", "solve", "kernel"]))
+    command = draw(st.sampled_from(["interpolate", "solve", "kernel", "sigma", "bench"]))
+    if command == "bench":
+        reps = draw(st.sampled_from(["1", "1", "1", "0", "x"]))
+        return ["bench", "--sizes=" + draw(bench_sizes), "--reps=" + reps], None, ()
     bound = draw(st.integers(0, 4)) == 0
     p = draw(st.integers(1, 4 if bound else 30))  # exact work on 10**4300 grows fast
     nodes = draw(literal_lists(p, bound))
     values = None
-    if command != "kernel" or draw(st.integers(0, 9)) == 0:  # kernel takes no values
+    rhs = command in ("interpolate", "solve")  # kernel and sigma take no values
+    if rhs or draw(st.integers(0, 9)) == 0:
         values = draw(literal_lists(p, bound)) if draw(st.integers(0, 9)) else nodes[:-1]
-    wants_n = command != "interpolate"
-    if draw(st.integers(0, 9)) == 0:  # kernel without --n, interpolate with it
+    wants_n = command in ("solve", "kernel")
+    if draw(st.integers(0, 9)) == 0:  # kernel without --n, interpolate or sigma with it
         wants_n = not wants_n
     n = draw(sizes) if wants_n else None
     flags = [flag for flag in ("--verify", "--float") if draw(st.booleans())]
+    if command == "sigma" and draw(st.booleans()):
+        flags.append("--deflated")
     source = draw(st.sampled_from(["flags", "csv", "json"]))
     if source == "flags":
         argv = [command, "--nodes=" + ",".join(nodes), *flags]
@@ -130,7 +146,7 @@ def invocations(draw) -> tuple:
     return [command, *flags], "problem.json", _json_text(draw, nodes, values, n)
 
 
-@settings(max_examples=150, deadline=None,
+@settings(max_examples=250, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(invocations())
 def test_every_input_keeps_the_exit_code_contract(tmp_path_factory, case):
@@ -145,5 +161,9 @@ def test_every_input_keeps_the_exit_code_contract(tmp_path_factory, case):
     assert code in (0, 1, 2, 3), err.getvalue()
     if code in (0, 3):  # a result, or the report of an inconsistent system
         json.loads(out.getvalue())
-    else:
-        assert err.getvalue().splitlines()[-1].startswith("error: "), err.getvalue()
+        return
+    lines = err.getvalue().splitlines()
+    assert lines[-1].startswith("error: "), lines
+    assert not any(line.startswith("error: ") for line in lines[:-1]), lines
+    assert len(lines) == 1 or lines[0].startswith("usage: vandersolve"), lines
+    assert "Traceback" not in err.getvalue() and ".py" not in err.getvalue(), lines
