@@ -5,8 +5,9 @@ files); results leave as compact JSON on stdout with stable key order, or
 as an aligned table with --pretty.  `main` runs four stages, registered
 per subcommand in `_build_parser`: parse (every literal, read exactly,
 into one exact problem), solve (the exact payload), check (--verify) and
-render.  Results are rendered once, at output: as exact "p" or "p/q"
-strings, or under --float as their correctly rounded doubles.
+render (JSON, or the subcommand's table under --pretty).  Results are
+rendered once, at output: as exact "p" or "p/q" strings, or under
+--float as their correctly rounded doubles.
 
 --verify checks the exact payload, the very values that get rendered,
 before rendering: it re-evaluates every solution at every node, proves a
@@ -18,14 +19,16 @@ x - a_i gives it back), with no limit on the node count.
 
 One size budget, MAX_ENTRIES, bounds what a run may build: `solve` and
 `kernel` refuse an n whose result would hold more entries, and `bench` a
-size whose n x n matrix would; both exit 2 in the parse stage.
+size whose n x n matrix would; `bench` also refuses a --reps past
+MAX_REPS.  All exit 2 in the parse stage.  An error message cuts any
+literal it quotes to 40 characters.
 
 Exit codes: 0 success, 1 usage or parse error, missing input, unwritable
 --out or stdout closed early, 2 invalid problem (duplicate nodes,
-dimension mismatch, n < 1, an n or a bench size past the size budget, a
---float result too large for a double), 3 inconsistent overdetermined
-system, 4 --verify mismatch, which would mean a bug with or without
---float.
+dimension mismatch, n < 1, an n or a bench size past the size budget,
+a --reps past MAX_REPS, a --float result too large for a double),
+3 inconsistent overdetermined system, 4 --verify mismatch, which would
+mean a bug with or without --float.
 """
 
 import argparse
@@ -54,6 +57,8 @@ EXIT_VERIFY = 4
 # The most result entries (solve, kernel) or matrix entries (bench) one run
 # may build; a larger request exits 2 before anything is built.
 MAX_ENTRIES = 10**7
+# The most timing repetitions per size that `bench` may run.
+MAX_REPS = 1000
 
 # Payload keys that hold exact results, rendered by `_emit`.
 EXACT_KEYS = frozenset(
@@ -93,7 +98,12 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         # argparse quotes a rejected literal whole: cut each word to 40
         # characters, as parse_scalar does
-        raise CliError(_LONG_WORD.sub(lambda m: m.group()[:40] + "...", message), EXIT_PARSE)
+        raise CliError(_cut_words(message), EXIT_PARSE)
+
+
+def _cut_words(message: str) -> str:
+    """Each word of the message cut to 40 characters, as parse_scalar cuts its literal."""
+    return _LONG_WORD.sub(lambda m: m.group()[:40] + "...", message)
 
 
 @dataclass
@@ -192,7 +202,7 @@ def _read_json(path: str) -> tuple:
 def _split_flag(text: str) -> list:
     items = [part.strip() for part in text.split(",")]
     if any(not part for part in items):
-        raise CliError(f"empty entry in list {text!r}", EXIT_PARSE)
+        raise CliError(f"empty entry in list {text[:40]!r}", EXIT_PARSE)
     return items
 
 
@@ -238,14 +248,17 @@ def _parse_problem(args) -> Problem:
 
 
 def _parse_sizes(args) -> list:
-    """The parse stage of bench: the size list, each size's n x n matrix within MAX_ENTRIES."""
+    """The parse stage of bench: each size's matrix within MAX_ENTRIES, --reps within MAX_REPS."""
     try:
         sizes = [int(s) for s in _split_flag(args.sizes)]
     except ValueError as exc:
-        raise CliError(f"bad size list {args.sizes!r}", EXIT_PARSE) from exc
+        raise CliError(f"bad size list {args.sizes[:40]!r}", EXIT_PARSE) from exc
     if max(sizes) ** 2 > MAX_ENTRIES:
-        raise CliError(f"size {max(sizes)} is too large: its matrix would pass "
-                       f"{MAX_ENTRIES} entries", EXIT_INVALID)
+        raise CliError(_cut_words(f"size {max(sizes)} is too large: its matrix would pass "
+                                  f"{MAX_ENTRIES} entries"), EXIT_INVALID)
+    if args.reps > MAX_REPS:
+        raise CliError(f"--reps is too large: at most {MAX_REPS} timing repetitions per size",
+                       EXIT_INVALID)
     return sizes
 
 
@@ -409,8 +422,6 @@ def _pretty_bench(payload: dict) -> str:
 
 
 def _pretty(payload: dict) -> str:
-    if "closed_form" in payload and "gaussian" in payload:
-        return _pretty_bench(payload)
     lines = []
     width = max(len(k) for k in payload)
     for key, value in payload.items():
@@ -445,7 +456,7 @@ def _emit(payload: dict, args) -> None:
     payload = {key: _render(value, as_float) if key in EXACT_KEYS else value
                for key, value in payload.items()}
     if getattr(args, "pretty", False):
-        text = _pretty(payload)
+        text = args.table(payload)
     else:
         text = json.dumps(payload, separators=(",", ":"), ensure_ascii=False)
     out = getattr(args, "out", None)
@@ -481,7 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              "certificates, an elimination cross-check")
     common.add_argument("--pretty", action="store_true", help="table output instead of JSON")
     common.add_argument("--out", help="write the output to a file instead of stdout")
-    common.set_defaults(parse=_parse_problem)
+    common.set_defaults(parse=_parse_problem, table=_pretty)
 
     p_int = sub.add_parser("interpolate", parents=[common],
                            help="Lagrange interpolation polynomial")
@@ -510,7 +521,7 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="timing repetitions per size (default 5)")
     p_bench.add_argument("--pretty", action="store_true")
     p_bench.add_argument("--out")
-    p_bench.set_defaults(parse=_parse_sizes, solve=cmd_bench)
+    p_bench.set_defaults(parse=_parse_sizes, solve=cmd_bench, table=_pretty_bench)
     return parser
 
 

@@ -14,15 +14,19 @@ badly, so the float lane (`bench`) uses it for cost measurement only.
 A `NodeSet` holds exact scalars only (`field.exact_scalar`): ints and
 Fractions, or `CountingNumber` for op counting.  Exact nodes never reach
 these passes as Fractions: each node is taken in its own homogeneous
-coordinates, a_k = n_k / d_k in lowest terms, and the passes build the
-int coefficients S of P(x) = prod(d_k x + n_k) instead, so sigma(t) =
-S_t / prod d_k.  Node k turns the row into S_t <- d_k S_t + n_k S_(t-1),
-and the row of P / (d_j x + n_j) is H_t = (S_t - n_j H_(t-1)) / d_j, an
-exact division.  No gcd runs anywhere, and no entry exceeds
-prod(|n_k| + d_k).  A node with d_k = 1 takes the plain step above, so
-integer grids run the same pass as `CountingNumber`, which is the path
-the op-count tests pin.
-`SigmaTable.sigma` and `.deflated` divide the stored rows out on read.
+coordinates, a_k = n_k / d_k in lowest terms.  `NodeSet.pairs` holds
+those (n_k, d_k), computed once per node set and cached, or (a_k, 1)
+when a node is a `CountingNumber`; the sigma pass, the deflation and the
+column denominators of `vandermonde` all read them.  The passes build
+the int coefficients S of P(x) = prod(d_k x + n_k) instead of sigma, so
+sigma(t) = S_t / prod d_k.  Node k turns the row into
+S_t <- d_k S_t + n_k S_(t-1), and the row of P / (d_j x + n_j) is
+H_t = (S_t - n_j H_(t-1)) / d_j, an exact division.  No gcd runs
+anywhere, and no entry exceeds prod(|n_k| + d_k).  A node with d_k = 1
+takes the plain step above, so integer grids run the same pass as
+`CountingNumber`, which is the path the op-count tests pin.
+`SigmaTable.sigma` and `.deflated` divide the stored rows out on read,
+for `sigma --deflated` and the tests; the closed forms read the int rows.
 """
 
 from dataclasses import dataclass, replace
@@ -73,6 +77,13 @@ class NodeSet:
     def __getitem__(self, index):
         return self.nodes[index]
 
+    @cached_property
+    def pairs(self) -> tuple:
+        """(n_k, d_k) per node: a_k = n_k / d_k in lowest terms, or (a_k, 1) off the exact path."""
+        if is_exact(self.nodes):
+            return tuple((a.numerator, a.denominator) for a in self.nodes)
+        return tuple((a, 1) for a in self.nodes)
+
 
 @dataclass(frozen=True)
 class SigmaTable:
@@ -111,18 +122,11 @@ def _normalized(row) -> tuple:
     return tuple(Fraction(c, head) for c in row)
 
 
-def homogeneous(nodes: NodeSet) -> list:
-    """(n_k, d_k) per node: a_k = n_k / d_k in lowest terms, or (a_k, 1) off the exact path."""
-    if is_exact(nodes):
-        return [(a.numerator, a.denominator) for a in nodes]
-    return [(a, 1) for a in nodes]
-
-
 def compute_sigma(nodes: NodeSet) -> SigmaTable:
     """All coefficients of prod(d_k x + n_k) in one triangular pass."""
     p = len(nodes)
     s = [1] + [0] * p
-    for i, (n, d) in enumerate(homogeneous(nodes), 1):
+    for i, (n, d) in enumerate(nodes.pairs, 1):
         if d == 1:
             for j in range(i, 0, -1):
                 s[j] = s[j] + n * s[j - 1]
@@ -153,7 +157,7 @@ def deflate_all(table: SigmaTable) -> SigmaTable:
     changing any result.
     """
     s = table.coeffs
-    rows = tuple(_quotient(s, n, d) for n, d in homogeneous(table.nodes))
+    rows = tuple(_quotient(s, n, d) for n, d in table.nodes.pairs)
     return replace(table, rows=rows)
 
 

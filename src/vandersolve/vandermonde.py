@@ -1,27 +1,39 @@
 """Square Vandermonde systems in closed form.
 
-Inverse and solve both come from one sigma pass plus one deflation pass
-(quadratic total work, no elimination); the determinant is the direct
-product of node differences.  Column j of the inverse holds the
-coefficients of the Lagrange basis polynomial that is 1 at node j and 0 at
-every other node, divided by its denominator D_j; the solve sums those
-columns weighted by q_j / D_j, and `interpolate` wraps the result in a
-`Polynomial` (evaluate it with `Polynomial.evaluate`).
+Inverse and solve run the same four layers on every scalar type, with
+quadratic total work and no elimination:
+
+1. `symfuncs.compute_sigma`, the sigma pass;
+2. `symfuncs.deflate_all`, the deflated rows;
+3. `_column_denominators`, one denominator per column;
+4. the combine: `_combine_exact` or `_combine_generic` for the solve,
+   one `field.exact_div` per entry for the inverse.
+
+The combine's arithmetic is the only fork.  Column j of the inverse
+holds the coefficients of the Lagrange basis polynomial that is 1 at
+node j and 0 at every other node, divided by its denominator; the solve
+sums those columns weighted by q_j, and `interpolate` wraps the result
+in a `Polynomial` (evaluate it with `Polynomial.evaluate`).  The
+determinant is the plain product of node differences.
 
 Inputs are exact scalars (`field.exact_scalar` gates the nodes in
-`NodeSet` and the values here): ints and Fractions stay in ints until
-one `Fraction(numerator, denominator)` per output.  With
-a_k = n_k / d_k, the table holds the int rows H_j of
-prod over k != j of (d_k x + n_k) (see `symfuncs`), and the column
-denominator becomes E_j = prod over k != j of (n_j d_k - n_k d_j).  The
-factors prod over k != j of d_k cancel between the two, so inverse entry
-(i, j) is (-1)^(p-1-i) d_j^(p-1) H_j[p-1-i] / E_j.  The solve puts the
+`NodeSet` and the values here).  With a_k = n_k / d_k
+(`NodeSet.pairs`), the rows are the int rows H_j of prod over k != j of
+(d_k x + n_k) (see `symfuncs`), and the column denominator is
+E_j = prod over k != j of (n_j d_k - n_k d_j).  The factors prod over
+k != j of d_k cancel between the two, so inverse entry (i, j) is
+(-1)^(p-1-i) d_j^(p-1) H_j[p-1-i] / E_j.  `_combine_exact` puts the
 values over one common denominator and the weights d_j^(p-1) / E_j over
 G = lcm(E_j), so each output coefficient is one integer dot product.
-`CountingNumber` nodes or values run the same passes generically on
-their own operators, with every d_k = 1 and E_j = D_j, the Lagrange
-basis denominator; the op-count tests pin that path.  The determinant
-is the plain product on every scalar type.
+`_combine_generic` runs when a node or a value is a `CountingNumber`:
+the same sum on the scalars' own operators, one division per column,
+then p^2 multiply-adds; the op-count tests pin that path.
+`CountingNumber` nodes have every d_k = 1, so E_j is the Lagrange
+denominator prod over k != j of (a_j - a_k).  Exact nodes with counted
+values keep their int rows and E_j and divide each value by
+E_j / d_j^(p-1), so they count what counted nodes count: p divisions,
+p^2 multiplies and p^2 adds.  Every division goes through
+`field.exact_div`, so plain ints among counted values stay rational.
 
 `DenseMatrix` and `build_matrix` give the explicit matrix that the
 elimination oracle and the tests work on; no closed form uses them.
@@ -35,9 +47,9 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .field import exact_scalar, is_exact
+from .field import exact_div, exact_scalar, is_exact
 from .poly import Polynomial
-from .symfuncs import NodeSet, compute_sigma, deflate_all, homogeneous
+from .symfuncs import NodeSet, compute_sigma, deflate_all
 
 __all__ = [
     "DenseMatrix",
@@ -182,17 +194,12 @@ def inverse(nodes: NodeSet) -> DenseMatrix:
     Fraction each.
     """
     n = len(nodes)
-    table = deflate_all(compute_sigma(nodes))
-    pairs = homogeneous(nodes)
-    exact = is_exact(nodes)
+    rows = deflate_all(compute_sigma(nodes)).rows
     columns = []
-    for j, ((_, d_j), e) in enumerate(zip(pairs, _column_denominators(pairs))):
-        numerators = [_numerator_coeff(table.rows[j], n, i) for i in range(n)]
-        if exact:
-            lead = d_j ** (n - 1)
-            columns.append([Fraction(lead * c, e) for c in numerators])
-        else:
-            columns.append([c / e for c in numerators])
+    for row, (_, d), e in zip(rows, nodes.pairs, _column_denominators(nodes.pairs)):
+        lead = d ** (n - 1)
+        columns.append([exact_div(c if d == 1 else lead * c, e)
+                        for c in (_numerator_coeff(row, n, i) for i in range(n))])
     entries = tuple(columns[j][i] for i in range(n) for j in range(n))
     return DenseMatrix(n, n, entries)
 
@@ -208,20 +215,9 @@ def solve_square(nodes: NodeSet, q) -> list:
     if len(q) != n:
         raise DimensionMismatchError(f"{n} nodes but {len(q)} values")
     q = [exact_scalar(x) for x in q]
-    table = deflate_all(compute_sigma(nodes))
-    if is_exact(nodes, q):
-        pairs = homogeneous(nodes)
-        return _combine_exact(table.rows, pairs, _column_denominators(pairs), q)
-    denominators = _column_denominators([(a, 1) for a in nodes])
-    scaled = [q_j / d for q_j, d in zip(q, denominators)]
-    w = []
-    for i in range(n):
-        t = n - 1 - i
-        s = 0
-        for j in range(n):
-            s = s + table.deflated[j][t] * scaled[j]
-        w.append(s if t % 2 == 0 else -s)
-    return w
+    rows = deflate_all(compute_sigma(nodes)).rows
+    combine = _combine_exact if is_exact(nodes, q) else _combine_generic
+    return combine(rows, nodes.pairs, _column_denominators(nodes.pairs), q)
 
 
 def _combine_exact(rows, pairs, denominators, q) -> list:
@@ -243,6 +239,20 @@ def _combine_exact(rows, pairs, denominators, q) -> list:
         t = n - 1 - i
         s = sum(map(mul, columns[t], weights))
         w.append(Fraction(s if t % 2 == 0 else -s, m * g))
+    return w
+
+
+def _combine_generic(rows, pairs, denominators, q) -> list:
+    """The combine step on the scalars' own operators: the path the op counts pin."""
+    n = len(rows)
+    scaled = [exact_div(x, e if d == 1 else Fraction(e, d ** (n - 1)))
+              for x, (_, d), e in zip(q, pairs, denominators)]
+    w = []
+    for t in range(n - 1, -1, -1):
+        s = 0
+        for row, x in zip(rows, scaled):
+            s = s + row[t] * x
+        w.append(s if t % 2 == 0 else -s)
     return w
 
 

@@ -746,6 +746,12 @@ def test_pretty_table(capsys):
     assert "degree" in out and "coefficients" in out and "{" not in out
 
 
+def test_pretty_kernel_puts_each_vector_on_its_own_row(capsys):
+    code, out, _ = run_cli(capsys, "kernel", "--nodes", "1,2", "--n", "4", "--pretty")
+    assert code == 0
+    assert out == "dimension     2\nkernel_basis\n  2, -3, 1, 0\n  0, 2, -3, 1\n"
+
+
 # --- bench subcommand ---------------------------------------------------------------
 
 
@@ -759,6 +765,17 @@ def test_bench_smoke(capsys):
         assert len(report["op_counts"]) == 2
 
 
+def test_bench_pretty_table(capsys):
+    code, out, _ = run_cli(capsys, "bench", "--sizes", "8,16", "--reps", "1", "--pretty")
+    assert code == 0
+    header, rule, *rows, slope = out.splitlines()
+    assert header.split() == ["p", "closed", "ops", "closed", "s", "gauss", "ops", "gauss", "s"]
+    assert set(rule) == {"-"} and len(rule) == len(header)
+    assert [row.split()[0] for row in rows] == ["8", "16"]
+    assert all(len(row.split()) == 5 for row in rows)
+    assert slope.startswith("log-log op-count slope: closed form ")
+
+
 def test_bench_needs_two_sizes(capsys):
     code, _, err = run_cli(capsys, "bench", "--sizes", "8")
     assert code == 2
@@ -768,6 +785,20 @@ def test_bench_needs_two_sizes(capsys):
 def test_bench_rejects_bad_size_list(capsys):
     code, _, _ = run_cli(capsys, "bench", "--sizes", "8,x")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["bench", "--sizes", "8," + "1" * 5000], 1),
+    (["bench", "--sizes", "8,x" + "y" * 5000], 1),
+    (["bench", "--sizes", "8,x, " + "y, " * 5000], 1),
+    (["bench", "--sizes", "8," + "1" * 4000 + ",9"], 2),
+    (["interpolate", "--nodes", "1,," + "2" * 5000, "--values", "1,2"], 1),
+], ids=["digits", "letters", "spaced", "huge-size", "empty-entry"])
+def test_list_errors_cut_the_quoted_list(capsys, argv, want):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (want, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert len(err) < 120
 
 
 @pytest.mark.parametrize("sizes", [
@@ -785,6 +816,20 @@ def test_bench_size_past_the_budget_is_refused_before_numpy(sizes):
     big = sizes.split(",")[1]
     assert done.stderr == (f"error: size {big} is too large: its matrix would pass "
                            f"{cli.MAX_ENTRIES} entries\n")
+
+
+@pytest.mark.parametrize("reps", [10**9, cli.MAX_REPS + 1])
+def test_bench_reps_past_the_bound_are_refused_before_numpy(reps):
+    # a fresh interpreter, to see that numpy is never imported
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    script = ("import sys; from vandersolve.cli import main; "
+              f"code = main(['bench', '--sizes', '8,16', '--reps', '{reps}']); "
+              "sys.exit(100 + code if 'numpy' in sys.modules else code)")
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == (f"error: --reps is too large: at most {cli.MAX_REPS} timing "
+                           "repetitions per size\n")
 
 
 # --- round trip ----------------------------------------------------------------------

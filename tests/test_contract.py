@@ -7,7 +7,9 @@ exit 0 prints its result and exit 3 its inconsistency report as JSON on
 stdout.  Argv and files come from a small grammar of valid and malformed
 literals, exponents at the digit bound and just past it, duplicate
 nodes, wrong JSON types, deeply nested JSON, ragged CSV, byte-order
-marks, sizes that the size budget refuses, and `bench` size lists.
+marks, sizes that the size budget refuses, `bench` size lists and
+repetition counts, `--pretty`, and `--out` to a file or into a missing
+directory (exit 1, and nothing is created).
 """
 
 import io
@@ -20,7 +22,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
-from vandersolve.cli import main
+from vandersolve.cli import MAX_REPS, main
 
 BOUND = sys.get_int_max_str_digits()
 DEEP = 100000  # past any recursion limit of the JSON decoder
@@ -47,6 +49,8 @@ bench_sizes = st.one_of(
     st.sampled_from(["8", "8,x", "", "2,,4", "4,2", "4,4", "0,4", "-1,4", "2.5,4", " 2, 4"]),
     st.sampled_from([f"2,{10**4}", f"2,{10**20}", f"2,{sys.maxsize}", f"{10**30},2"]),
 )
+# past MAX_REPS is refused before anything runs
+bench_reps = st.sampled_from(["1", "1", "1", "0", "2", "x", str(MAX_REPS + 1), str(10**9)])
 
 
 @st.composite
@@ -108,14 +112,17 @@ def _json_text(draw, nodes: list, values, n) -> tuple:
 
 @st.composite
 def invocations(draw) -> tuple:
-    """(argv, name of the input file or None, its content as (bytes, repeat) pieces).
+    """(argv, name of the input file or None, its content as (bytes, repeat) pieces, --out).
 
-    The pieces keep a 200 kB file out of the example's repr.
+    The pieces keep a 200 kB file out of the example's repr.  --out is
+    None (stdout), "file" or "missing" (a file in a missing directory).
     """
     command = draw(st.sampled_from(["interpolate", "solve", "kernel", "sigma", "bench"]))
+    output = ["--pretty"] if draw(st.integers(0, 3)) == 0 else []
+    out = draw(st.sampled_from([None] * 6 + ["file", "missing"]))
     if command == "bench":
-        reps = draw(st.sampled_from(["1", "1", "1", "0", "x"]))
-        return ["bench", "--sizes=" + draw(bench_sizes), "--reps=" + reps], None, ()
+        argv = ["bench", "--sizes=" + draw(bench_sizes), "--reps=" + draw(bench_reps), *output]
+        return argv, None, (), out
     bound = draw(st.integers(0, 4)) == 0
     p = draw(st.integers(1, 4 if bound else 30))  # exact work on 10**4300 grows fast
     nodes = draw(literal_lists(p, bound))
@@ -127,7 +134,7 @@ def invocations(draw) -> tuple:
     if draw(st.integers(0, 9)) == 0:  # kernel without --n, interpolate or sigma with it
         wants_n = not wants_n
     n = draw(sizes) if wants_n else None
-    flags = [flag for flag in ("--verify", "--float") if draw(st.booleans())]
+    flags = [flag for flag in ("--verify", "--float") if draw(st.booleans())] + output
     if command == "sigma" and draw(st.booleans()):
         flags.append("--deflated")
     source = draw(st.sampled_from(["flags", "csv", "json"]))
@@ -137,31 +144,43 @@ def invocations(draw) -> tuple:
             argv.append("--values=" + ",".join(values))
         if n is not None:
             argv.append(f"--n={n}")
-        return argv, None, ()
+        return argv, None, (), out
     if source == "csv":
         argv = [command, *flags]
         if n is not None:
             argv.append(f"--n={n}")
-        return argv, "problem.csv", _csv_text(draw, nodes, values)
-    return [command, *flags], "problem.json", _json_text(draw, nodes, values, n)
+        return argv, "problem.csv", _csv_text(draw, nodes, values), out
+    return [command, *flags], "problem.json", _json_text(draw, nodes, values, n), out
 
 
 @settings(max_examples=250, deadline=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(invocations())
 def test_every_input_keeps_the_exit_code_contract(tmp_path_factory, case):
-    argv, name, pieces = case
+    argv, name, pieces, out = case
     if name is not None:
         path = tmp_path_factory.mktemp("contract") / name
         path.write_bytes(b"".join(chunk * repeat for chunk, repeat in pieces))
         argv = [*argv, "--csv" if name.endswith(".csv") else "--json", str(path)]
-    out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    target = None
+    if out is not None:
+        target = tmp_path_factory.mktemp("out") / ("missing/out" if out == "missing" else "out")
+        argv = [*argv, "--out", str(target)]
+    stdout, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 3), err.getvalue()
     if code in (0, 3):  # a result, or the report of an inconsistent system
-        json.loads(out.getvalue())
+        assert out != "missing"
+        text = stdout.getvalue() if target is None else target.read_text(encoding="utf-8")
+        assert target is None or stdout.getvalue() == ""
+        if "--pretty" in argv:
+            assert text.endswith("\n") and text.strip() and "Traceback" not in text
+        else:
+            json.loads(text)
         return
+    if out == "missing":
+        assert not target.parent.exists()
     lines = err.getvalue().splitlines()
     assert lines[-1].startswith("error: "), lines
     assert not any(line.startswith("error: ") for line in lines[:-1]), lines

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 
 from helpers import affine_member, node_sets, small_fractions
+from vandersolve.field import OpCounter, counting
 from vandersolve.kernel import (
     OverdeterminedInputError,
     kernel_basis,
@@ -57,6 +58,16 @@ def test_single_vector_fixture():
     )
     assert basis.vectors == (expected,)
     assert expected == (-24, 26, -9, 1)
+
+
+@given(wide_cases)
+def test_counted_nodes_give_the_exact_root_product(case):
+    # the generic branch of poly_from_roots, on CountingNumber nodes
+    ns, n = case
+    counted = kernel_basis(NodeSet(tuple(counting(ns.nodes, OpCounter()))), n)
+    exact = kernel_basis(ns, n)
+    assert [[getattr(x, "value", x) for x in v] for v in counted.vectors] == \
+        [list(v) for v in exact.vectors]
 
 
 def test_p_greater_than_n_is_routed_away():

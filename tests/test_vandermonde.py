@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given
 
 from helpers import exact_scalars, node_sets, random_node_set, random_values, small_fractions
-from vandersolve.field import OpCounter, counting
+from vandersolve.field import CountingNumber, OpCounter, counting
 from vandersolve.kernel import kernel_basis
 from vandersolve.oracle import (
     cofactor_determinant,
@@ -360,6 +360,34 @@ def test_numpy_integer_values_take_the_exact_path():
     w = solve_square(ns, q)
     assert w == solve_by_elimination(ns, [F(int(x)) for x in q])
     assert all(type(x) is Fraction for x in w)
+
+
+@given(_mixed_systems)
+@example(([0, F(1, 2), F(-1, 3), 5], [1, F(2, 3), -4, 0]))
+@example(([F(3, 7)], [2]))
+def test_exact_nodes_with_counted_values_combine_on_the_projective_rows(system):
+    # the integer rows and E_j of the exact nodes, combined on the values' own operators
+    nodes, q = system
+    ns, p = NodeSet(tuple(nodes)), len(nodes)
+    ops = OpCounter()
+    w = solve_square(ns, counting(q, ops))
+    assert [x.value for x in w] == solve_square(ns, q)
+    assert all(type(x.value) is Fraction for x in w)
+    assert (ops.divs, ops.muls, ops.adds, ops.subs, ops.negs) == (p, p * p, p * p, 0, p // 2)
+
+
+@pytest.mark.parametrize("nodes", [(0, 1, 2), (F(1), F(2), F(-3)), (0, F(1, 2), 4)])
+def test_partly_counted_values_stay_rational(nodes):
+    ns = NodeSet(nodes)
+    q = [CountingNumber(1, OpCounter()), 2, F(1, 3)]
+    w = solve_square(ns, q)
+    assert [x.value for x in w] == solve_square(ns, [1, 2, F(1, 3)])
+    assert all(type(x.value) is Fraction for x in w)
+
+
+def test_inverse_of_one_counted_node_is_rational():
+    entries = inverse(NodeSet((CountingNumber(F(7), OpCounter()),))).entries
+    assert entries == (1,) and type(entries[0]) is Fraction
 
 
 # --- cost -------------------------------------------------------------------------
