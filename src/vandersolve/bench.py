@@ -15,11 +15,12 @@ a single matrix-vector product dots with the scaled right-hand side.  So
 it needs O(PANEL * p) memory, never a p x p grid (Bjorck & Pereyra,
 Math. Comp. 24, 1970, do O(p^2) work in O(p) memory too).
 Elimination runs in panels of PANEL columns, as LAPACK's dgetrf does:
-each panel is factored on a contiguous copy, its rows are permuted
-once, and matrix products apply it to the trailing block, one block of
-PANEL rows at a time.  It keeps one n x n working copy plus
-O(n * PANEL) scratch, and it forms the same products as unblocked
-elimination, so its counts are unchanged.
+each panel is factored by halves on a contiguous copy (dgetrf2), its
+rows are permuted once, and matrix products apply it to the trailing
+block, one block of PANEL rows at a time.  b rides along as column n of
+one n x (n + 1) working copy, so it needs no updates of its own, and
+the kernel holds O(n * PANEL) scratch besides.  It forms the same
+products as unblocked elimination, so its counts are unchanged.
 
 At benchmark sizes the float values themselves overflow to inf/NaN: the
 deflation subtraction cancels catastrophically and sigma values grow
@@ -153,72 +154,113 @@ def build_matrix_floats(nodes: np.ndarray, n: int) -> np.ndarray:
         return np.vander(nodes, n, increasing=True)
 
 
+def _forward(l: np.ndarray, b: np.ndarray) -> None:
+    """b <- L^-1 b in place: L is the square l's strict lower triangle plus the identity.
+
+    By halves: the top half of b is solved, one matrix product takes it
+    out of the bottom half, and the bottom half is solved.  Blocks of at
+    most PANEL // 4 rows are solved one row at a time, each row by one
+    vector-matrix product with the rows above it.
+    """
+    m = len(l)
+    if m <= max(1, PANEL // 4):
+        for i in range(1, m):
+            b[i] -= l[i, :i] @ b[:i]
+        return
+    h = m // 2
+    _forward(l[:h, :h], b[:h])
+    b[h:] -= l[h:, :h] @ b[:h]
+    _forward(l[h:, h:], b[h:])
+
+
+def _factor_panel(panel: np.ndarray, order: np.ndarray, j0: int, j1: int,
+                  k0: int, n: int, ops: OpCounter) -> None:
+    """LU with partial pivoting of columns j0..j1 of a transposed panel, by halves.
+
+    Row j of `panel` is column k0 + j of the working copy from row k0 down,
+    so a row swap of the copy is a swap of two buffer columns; each swap
+    moves the whole buffer, so the panel's other columns are always in
+    the current row order, and `order` records it.  The left half is
+    factored first, a unit-lower solve brings the right half's top rows up
+    to date, one matrix product subtracts the left half from the rest of
+    the right half, and the right half is factored.  Leaves of PANEL // 4
+    columns run step by step: pivot search, swap, the multipliers divided
+    in place below the diagonal, and a rank-1 update of the leaf's own
+    columns.  Each step adds the counts of one step of unblocked
+    elimination on the whole system, b included.
+    """
+    if j1 - j0 <= max(1, PANEL // 4):
+        for j in range(j0, j1):
+            k = k0 + j
+            col = panel[j]
+            r = j + int(np.abs(col[j:]).argmax())
+            if r != j:
+                panel[:, j], panel[:, r] = panel[:, r], panel[:, j].copy()
+                order[j], order[r] = order[r], order[j]
+            f = col[j + 1:]  # the multipliers, stored in place below the diagonal
+            f /= col[j]
+            ops.divs += n - 1 - k
+            if j + 1 < j1:
+                panel[j + 1:j1, j + 1:] -= panel[j + 1:j1, j, None] * f
+            ops.muls += (n - 1 - k) * (n - k)  # the trailing block and b
+            ops.subs += (n - 1 - k) * (n - k)
+        return
+    jm = j0 + (j1 - j0) // 2
+    _factor_panel(panel, order, j0, jm, k0, n, ops)
+    _forward(panel[j0:jm, j0:jm].T, panel[jm:j1, j0:jm].T)
+    panel[jm:j1, jm:] -= panel[jm:j1, j0:jm] @ panel[j0:jm, jm:]
+    _factor_panel(panel, order, jm, j1, k0, n, ops)
+
+
 def gaussian_solve_floats(matrix: np.ndarray, values: np.ndarray, ops: OpCounter) -> np.ndarray:
     """Cubic elimination with magnitude pivoting, blocked in panels of PANEL columns.
 
     Right-looking LU with partial pivoting (Golub & Van Loan, section
-    3.2.11), blocked as in LAPACK's dgetrf.  Each panel is copied,
-    transposed, into a contiguous buffer of at most n x PANEL doubles.
-    Inside it each step searches column k for the pivot, swaps two buffer
-    columns and two entries of b, updates b and the panel's own columns,
-    and stores its multipliers f below the diagonal.  After the panel the
-    buffer is written back and the rows it moved are gathered once in the
-    columns to its right (dlaswp); the columns to its left keep their old
-    row order, since b is eliminated in step and their multipliers are
-    never read again.  Forward substitution, one vector-matrix product
-    per row, then brings the panel's rows of the right-hand columns up to
-    date, and the panel is applied to the trailing block one block of
-    PANEL rows at a time, each block's matrix product subtracted in place
-    (dgetrf's dgemm accumulates into the matrix the same way).  So besides
-    its n x n working copy the kernel holds only O(n * PANEL) scratch: the
-    panel buffer, one block's product and the gathered rows.  Every
-    product l_ik * u_kj is still formed exactly once, so the per-step
-    counts are those of unblocked elimination.
+    3.2.11), blocked as in LAPACK's dgetrf, on one n x (n + 1) working
+    copy whose column n is b.  Each panel is copied, transposed, into a
+    contiguous buffer of at most n x PANEL doubles and factored there by
+    halves, as LAPACK's dgetrf2 does (Toledo, SIMAX 18(4), 1997; see
+    `_factor_panel`).  After the panel the buffer is written back and the
+    rows it moved are gathered once in the columns to its right, b
+    included (dlaswp); the columns to its left keep their old row order,
+    since their multipliers are never read again.  A unit-lower solve
+    (`_forward`, the one the panel uses) then brings the panel's rows of
+    the right-hand columns up to date, and the panel is applied to the
+    trailing block one block of PANEL rows at a time, each block's matrix
+    product subtracted in place (dgetrf's dgemm accumulates into the
+    matrix the same way).  So besides its working copy the kernel holds
+    only O(n * PANEL) scratch: the panel buffer, one block's product and
+    the gathered rows.  Back substitution runs one row at a time on
+    column n.  Every product l_ik * u_kj is still formed exactly once, so
+    the per-step counts are those of unblocked elimination.
 
     Counts follow the element-wise formulation; pivot search and row swaps
     are free, vectorized evaluation reassociates sums without changing the
     multiply/divide work.
     """
-    a = np.array(matrix, dtype=float, copy=True)
-    b = np.array(values, dtype=float, copy=True)
-    n = a.shape[0]
+    n = len(values)
+    a = np.empty((n, n + 1))
+    a[:, :n] = matrix
+    a[:, n] = values
     x = np.zeros(n)
     with np.errstate(all="ignore"):
         for k0 in range(0, n, PANEL):
             k1 = min(k0 + PANEL, n)
-            # Row j of the buffer is column k0 + j of a from row k0 down,
-            # and order[r] is the row of a that buffer column r came from.
+            # order[r] is the row of a that buffer column r came from
             panel = np.ascontiguousarray(a[k0:, k0:k1].T)
             order = np.arange(k0, n)
-            for j in range(k1 - k0):
-                k = k0 + j
-                col = panel[j]
-                r = j + int(np.argmax(np.abs(col[j:])))
-                if r != j:
-                    panel[:, j], panel[:, r] = panel[:, r], panel[:, j].copy()
-                    b[k], b[k0 + r] = b[k0 + r], b[k]
-                    order[j], order[r] = order[r], order[j]
-                f = col[j + 1:]  # the multipliers, stored in place below the diagonal
-                f /= col[j]
-                ops.divs += n - 1 - k
-                panel[j + 1:, j + 1:] -= panel[j + 1:, j, None] * f
-                ops.muls += (n - 1 - k) * (n - 1 - k)
-                ops.subs += (n - 1 - k) * (n - 1 - k)
-                b[k + 1:] -= f * b[k]
-                ops.muls += n - 1 - k
-                ops.subs += n - 1 - k
+            _factor_panel(panel, order, 0, k1 - k0, k0, n, ops)
             a[k0:, k0:k1] = panel.T
             # The columns right of the panel were left alone until every
             # swap of the panel was known; their share of the counts is above.
             moved = np.flatnonzero(order != np.arange(k0, n))
             a[k0 + moved, k1:] = a[order[moved], k1:]
-            for i in range(k0 + 1, k1):
-                a[i, k1:] -= a[i, k0:i] @ a[k0:i, k1:]
+            _forward(a[k0:k1, k0:k1], a[k0:k1, k1:])
             for r0 in range(k1, n, PANEL):
                 r1 = min(r0 + PANEL, n)
                 a[r0:r1, k1:] -= a[r0:r1, k0:k1] @ a[k0:k1, k1:]
         for i in range(n - 1, -1, -1):
-            s = b[i] - a[i, i + 1:] @ x[i + 1:]
+            s = a[i, n] - a[i, i + 1:n] @ x[i + 1:]
             ops.muls += n - 1 - i
             ops.subs += n - 1 - i
             x[i] = s / a[i, i]

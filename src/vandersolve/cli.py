@@ -141,6 +141,18 @@ def _is_scalar(text: str) -> bool:
     return True
 
 
+def _file_error(verb: str, path: str, exc: Exception) -> CliError:
+    """"cannot read PATH: reason" (or write), naming the path once.
+
+    An OSError's own text repeats the path, so only its strerror is kept.
+    A path longer than 200 characters is cut to its first and last 80.
+    """
+    if len(path) > 200:
+        path = f"{path[:80]}…{path[-80:]}"
+    reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+    return CliError(f"cannot {verb} {path}: {reason}", EXIT_PARSE)
+
+
 def _read_csv(path: str) -> tuple:
     """CSV with a node column and an optional value column; header optional.
 
@@ -152,7 +164,7 @@ def _read_csv(path: str) -> tuple:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             rows = [row for row in csv.reader(fh) if any(cell.strip() for cell in row)]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:  # csv.Error: a cell past its size limit
-        raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from exc
+        raise _file_error("read", path, exc) from exc
     if not rows:
         raise CliError(f"{path} holds no data rows", EXIT_PARSE)
     for sep, name in ((";", "';'"), ("\t", "a tab")):
@@ -177,7 +189,7 @@ def _read_json(path: str) -> tuple:
         with open(path, encoding="utf-8-sig") as fh:
             data = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
-        raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from exc
+        raise _file_error("read", path, exc) from exc
     except json.JSONDecodeError as exc:
         raise CliError(f"{path} is not valid JSON: {exc}", EXIT_PARSE) from exc
     except ValueError as exc:  # int() refuses a literal past the digit limit
@@ -468,7 +480,7 @@ def _emit(payload: dict, args) -> None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     except OSError as exc:
-        raise CliError(f"cannot write {out}: {exc}", EXIT_PARSE) from exc
+        raise _file_error("write", out, exc) from exc
 
 
 @functools.cache

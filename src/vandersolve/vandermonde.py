@@ -33,7 +33,9 @@ denominator prod over k != j of (a_j - a_k).  Exact nodes with counted
 values keep their int rows and E_j and divide each value by
 E_j / d_j^(p-1), so they count what counted nodes count: p divisions,
 p^2 multiplies and p^2 adds.  Every division goes through
-`field.exact_div`, so plain ints among counted values stay rational.
+`field.exact_div`, so plain ints among counted values stay rational;
+a counted float is refused there, since E_j / d_j^(p-1) can pass the
+double range.
 
 `DenseMatrix` and `build_matrix` give the explicit matrix that the
 elimination oracle and the tests work on; no closed form uses them.
@@ -47,7 +49,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .field import exact_div, exact_scalar, is_exact
+from .field import CountingNumber, exact_div, exact_scalar, is_exact
 from .poly import Polynomial
 from .symfuncs import NodeSet, compute_sigma, deflate_all
 
@@ -209,14 +211,22 @@ def solve_square(nodes: NodeSet, q) -> list:
 
     Quadratic cost overall: the sigma pass, p deflation rows, one
     denominator per column, and a final grid-vector sum.  No elimination
-    anywhere.  Each value passes `field.exact_scalar`.
+    anywhere.  Each value passes `field.exact_scalar`, and exact nodes
+    refuse a counted float (TypeError).
     """
     n = len(nodes)
     if len(q) != n:
         raise DimensionMismatchError(f"{n} nodes but {len(q)} values")
     q = [exact_scalar(x) for x in q]
+    exact_nodes = is_exact(nodes)
+    if exact_nodes:
+        for x in q:
+            if isinstance(x, CountingNumber) and not is_exact([x.value]):
+                raise TypeError(
+                    f"exact nodes with counted value {x!r}: wrap an int or a Fraction, "
+                    f"since the column divisors of exact nodes can pass the double range")
     rows = deflate_all(compute_sigma(nodes)).rows
-    combine = _combine_exact if is_exact(nodes, q) else _combine_generic
+    combine = _combine_exact if exact_nodes and is_exact(q) else _combine_generic
     return combine(rows, nodes.pairs, _column_denominators(nodes.pairs), q)
 
 

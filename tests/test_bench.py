@@ -21,6 +21,10 @@ BLOCKS = [bench.PANEL - 1, bench.PANEL, bench.PANEL + 1, 2 * bench.PANEL + 3]
 # boundaries at sizes where doubles still agree with it.
 SMALL_BLOCKS = [(panel, p) for panel in (2, 3)
                 for p in (panel - 1, panel, panel + 1, 2 * panel + 1)]
+# elimination: each side of a leaf (PANEL // 4 columns), uneven halves,
+# one and two panels and a remainder
+RECURSION_EDGES = [bench.PANEL // 4 - 1, bench.PANEL // 4 + 1, bench.PANEL // 2 + 1,
+                   bench.PANEL + 3, 2 * bench.PANEL + 5]
 
 
 def exact_nodes(p):
@@ -151,7 +155,8 @@ def random_system(p):
     return rng.standard_normal((p, p)), rng.standard_normal(p)
 
 
-@pytest.mark.parametrize("p", [31, 32, 33, 65, 100, 3 * bench.PANEL, 3 * bench.PANEL + 1])
+@pytest.mark.parametrize("p", [31, 32, 33, 65, 100, 3 * bench.PANEL, 3 * bench.PANEL + 1]
+                         + RECURSION_EDGES)
 def test_gaussian_kernel_across_panels(p):
     # random normal rows: beyond one panel, some pivots come from below the current panel
     matrix, vals = random_system(p)
@@ -193,16 +198,61 @@ def test_gaussian_kernel_with_pivots_from_below_the_panel():
     np.testing.assert_allclose(got, np.linalg.solve(matrix, vals), rtol=1e-9)
 
 
-@pytest.mark.parametrize("p", [33, 65])
+def test_gaussian_kernel_with_pivots_from_below_while_factoring_the_right_half():
+    # Strictly column-dominant rows keep their pivots through elimination,
+    # so the pivot of step k is wherever dominant row k sits.  Rows of the
+    # first panel's right half go to the bottom, reversed: the left half
+    # factors without a swap, and every step of the right half pivots on
+    # a row below the panel.
+    p = 2 * bench.PANEL + 3
+    half = bench.PANEL // 2
+    rng = np.random.default_rng(p)
+    dominant = rng.uniform(-1.0, 1.0, (p, p)) + p * np.eye(p)
+    perm = np.arange(p)
+    right = perm[half:bench.PANEL].copy()
+    perm[half:bench.PANEL] = perm[p - len(right):][::-1]
+    perm[p - len(right):] = right[::-1]
+    matrix, vals = dominant[perm], rng.standard_normal(p)
+    got = bench.gaussian_solve_floats(matrix, vals, OpCounter())
+    np.testing.assert_allclose(got, np.linalg.solve(matrix, vals), rtol=1e-9)
+
+
+def instrumented_gaussian_counts(matrix, vals):
+    p = len(vals)
+    inst = OpCounter()
+    wrapped = DenseMatrix(p, p, tuple(counting(matrix.flatten().tolist(), inst)))
+    oracle.gaussian_solve(wrapped, counting(vals.tolist(), inst))
+    return inst
+
+
+@pytest.mark.parametrize("panel", [2, 3, 5])
+@pytest.mark.parametrize("p", [1, 2, 4, 7, 11, 17])
+def test_gaussian_kernel_with_small_panels_matches_oracle(monkeypatch, panel, p):
+    # leaves of one column (PANEL // 4 is 0 or 1) and halves of uneven width
+    monkeypatch.setattr(bench, "PANEL", panel)
+    matrix, vals = random_system(p)
+    ops = OpCounter()
+    got = bench.gaussian_solve_floats(matrix, vals, ops)
+    want = oracle.gaussian_solve(DenseMatrix(p, p, tuple(matrix.flatten().tolist())),
+                                 vals.tolist())
+    np.testing.assert_allclose(got, want, rtol=1e-9)
+    assert ops == instrumented_gaussian_counts(matrix, vals)
+
+
+@pytest.mark.parametrize("p", [256, 799])
+def test_gaussian_kernel_keeps_a_small_residual(p):
+    # the ends of float-bench's elimination sizes; pivoted LU is backward stable
+    matrix, vals = bench.build_matrix_floats(bench.bench_nodes(p), p), bench.bench_values(p)
+    w = bench.gaussian_solve_floats(matrix, vals, OpCounter())
+    assert np.max(np.abs(matrix @ w - vals)) <= 1e-10 * np.max(np.abs(vals))
+
+
+@pytest.mark.parametrize("p", [33, 65] + RECURSION_EDGES)
 def test_gaussian_bulk_counts_across_panels(p):
     matrix, vals = random_system(p)
     bulk = OpCounter()
     bench.gaussian_solve_floats(matrix, vals, bulk)
-
-    inst = OpCounter()
-    wrapped = DenseMatrix(p, p, tuple(counting(matrix.flatten().tolist(), inst)))
-    oracle.gaussian_solve(wrapped, counting(vals.tolist(), inst))
-    assert bulk == inst
+    assert bulk == instrumented_gaussian_counts(matrix, vals)
 
 
 @pytest.mark.parametrize("n", SIZES)

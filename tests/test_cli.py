@@ -524,6 +524,20 @@ def test_out_into_missing_directory_is_exit_one(tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("argv,verb", [
+    (("interpolate", "--nodes", "0,1", "--values", "1,2", "--out"), "write"),
+    (("sigma", "--csv"), "read"),
+])
+def test_long_path_is_named_once_and_cut(tmp_path, capsys, argv, verb):
+    path = str(tmp_path / ("a" * 5000 + "-tail.json"))  # no file system takes that name
+    code, out, err = run_cli(capsys, *argv, path)
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    assert line.startswith(f"error: cannot {verb} {path[:80]}…")
+    assert len(line) < 400
+    assert line.count("-tail.json") == 1
+
+
 # --- float lane, verify, pretty ---------------------------------------------------
 
 

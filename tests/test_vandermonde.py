@@ -336,6 +336,19 @@ def test_exact_nodes_with_float_values_raise_type_error():
         solve_square(make_nodes(1, 2), [0.5, 1.5])
 
 
+@pytest.mark.parametrize("nodes", [
+    [k + F(1, 10**6 + k) for k in range(45)],  # the column divisors pass the double range
+    [F(10**12 + 2 * k + 1, 10**12 + 2 * k) for k in range(30)],
+])
+def test_exact_nodes_refuse_counted_floats(nodes):
+    q = counting([1.0 + k for k in range(len(nodes))], OpCounter())
+    with pytest.raises(TypeError, match="counted value CountingNumber"):
+        solve_square(NodeSet(tuple(nodes)), q)
+    # counted exact values on the same nodes still solve
+    w = solve_square(NodeSet(tuple(nodes)), counting([F(x.value) for x in q], OpCounter()))
+    assert [x.value for x in w] == solve_square(NodeSet(tuple(nodes)), [F(x.value) for x in q])
+
+
 @pytest.mark.parametrize("nodes", [(1.0, 2.0), (np.float64(1),), (F(1), Decimal("0.5"))])
 def test_inexact_nodes_raise_type_error(nodes):
     with pytest.raises(TypeError, match="Fraction"):
