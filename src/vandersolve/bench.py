@@ -2,11 +2,11 @@
 
 Times the quadratic closed-form solve against cubic Gaussian elimination
 on the same systems and reports exact field-operation counts alongside the
-wall-clock medians.  The counters tally the element-wise algorithms' exact
-operation multiset (the tests assert bit-equality with per-element
-instrumentation of the pure-Python paths); the kernels here run vectorized
-so the largest sizes stay affordable.  `run_benchmark` returns the JSON
-payload of `vandersolve bench` itself.
+wall-clock medians.  The kernels run vectorized so the largest sizes stay
+affordable, and each adds its counts once, as one formula in the size:
+the element-wise algorithm's exact operation multiset, which the tests
+check against per-element instrumentation of the pure-Python paths.
+`run_benchmark` returns the JSON payload of `vandersolve bench` itself.
 
 The closed form streams in blocks of PANEL columns: the column
 denominators multiply PANEL factors into their running product per
@@ -20,7 +20,7 @@ rows are permuted once, and matrix products apply it to the trailing
 block, one block of PANEL rows at a time.  b rides along as column n of
 one n x (n + 1) working copy, so it needs no updates of its own, and
 the kernel holds O(n * PANEL) scratch besides.  It forms the same
-products as unblocked elimination, so its counts are unchanged.
+products as unblocked elimination, so it counts what that counts.
 
 At benchmark sizes the float values themselves overflow to inf/NaN: the
 deflation subtraction cancels catastrophically and sigma values grow
@@ -50,15 +50,18 @@ def bench_values(p: int) -> np.ndarray:
 
 
 def sigma_floats(nodes: np.ndarray, ops: OpCounter) -> np.ndarray:
-    """Vector form of the triangular sigma pass (same operation multiset)."""
+    """Vector form of the triangular sigma pass (same operation multiset).
+
+    Step i multiplies and adds i entries, so the pass counts p(p+1)/2 of each.
+    """
     p = len(nodes)
     s = np.zeros(p + 1)
     s[0] = 1.0
     with np.errstate(all="ignore"):
         for i in range(1, p + 1):
             s[1:i + 1] += nodes[i - 1] * s[0:i]
-            ops.muls += i
-            ops.adds += i
+    ops.muls += p * (p + 1) // 2
+    ops.adds += p * (p + 1) // 2
     return s
 
 
@@ -114,7 +117,7 @@ def _column_denominators(nodes: np.ndarray) -> np.ndarray:
     n = len(nodes)
     denoms = np.ones(n)
     rows = np.empty((min(PANEL, n) + 1, n))
-    with np.errstate():  # restores the buffer size on exit
+    with np.errstate():  # restores the buffer size on exit (numpy >= 2.0)
         np.setbufsize(16 * -(-n // 16))
         for k0 in range(0, n, PANEL):
             k1 = min(k0 + PANEL, n)
@@ -173,25 +176,23 @@ def _forward(l: np.ndarray, b: np.ndarray) -> None:
     _forward(l[h:, h:], b[h:])
 
 
-def _factor_panel(panel: np.ndarray, order: np.ndarray, j0: int, j1: int,
-                  k0: int, n: int, ops: OpCounter) -> None:
+def _factor_panel(panel: np.ndarray, order: np.ndarray, j0: int, j1: int) -> None:
     """LU with partial pivoting of columns j0..j1 of a transposed panel, by halves.
 
-    Row j of `panel` is column k0 + j of the working copy from row k0 down,
-    so a row swap of the copy is a swap of two buffer columns; each swap
-    moves the whole buffer, so the panel's other columns are always in
-    the current row order, and `order` records it.  The left half is
+    Row j of `panel` is the panel's column j of the working copy from the
+    panel's first row down, so a row swap of the copy is a swap of two
+    buffer columns; each swap moves the whole buffer, so the panel's other
+    columns are always in the current row order, and `order` records it.  The left half is
     factored first, a unit-lower solve brings the right half's top rows up
     to date, one matrix product subtracts the left half from the rest of
     the right half, and the right half is factored.  Leaves of PANEL // 4
     columns run step by step: pivot search, swap, the multipliers divided
     in place below the diagonal, and a rank-1 update of the leaf's own
-    columns.  Each step adds the counts of one step of unblocked
-    elimination on the whole system, b included.
+    columns.  It counts nothing: `gaussian_solve_floats` adds the counts
+    of the whole elimination at once.
     """
     if j1 - j0 <= max(1, PANEL // 4):
         for j in range(j0, j1):
-            k = k0 + j
             col = panel[j]
             r = j + int(np.abs(col[j:]).argmax())
             if r != j:
@@ -199,17 +200,14 @@ def _factor_panel(panel: np.ndarray, order: np.ndarray, j0: int, j1: int,
                 order[j], order[r] = order[r], order[j]
             f = col[j + 1:]  # the multipliers, stored in place below the diagonal
             f /= col[j]
-            ops.divs += n - 1 - k
             if j + 1 < j1:
                 panel[j + 1:j1, j + 1:] -= panel[j + 1:j1, j, None] * f
-            ops.muls += (n - 1 - k) * (n - k)  # the trailing block and b
-            ops.subs += (n - 1 - k) * (n - k)
         return
     jm = j0 + (j1 - j0) // 2
-    _factor_panel(panel, order, j0, jm, k0, n, ops)
+    _factor_panel(panel, order, j0, jm)
     _forward(panel[j0:jm, j0:jm].T, panel[jm:j1, j0:jm].T)
     panel[jm:j1, jm:] -= panel[jm:j1, j0:jm] @ panel[j0:jm, jm:]
-    _factor_panel(panel, order, jm, j1, k0, n, ops)
+    _factor_panel(panel, order, jm, j1)
 
 
 def gaussian_solve_floats(matrix: np.ndarray, values: np.ndarray, ops: OpCounter) -> np.ndarray:
@@ -232,10 +230,11 @@ def gaussian_solve_floats(matrix: np.ndarray, values: np.ndarray, ops: OpCounter
     only O(n * PANEL) scratch: the panel buffer, one block's product and
     the gathered rows.  Back substitution runs one row at a time on
     column n.  Every product l_ik * u_kj is still formed exactly once, so
-    the per-step counts are those of unblocked elimination.
-
-    Counts follow the element-wise formulation; pivot search and row swaps
-    are free, vectorized evaluation reassociates sums without changing the
+    the counts, added once from n, are those of element-wise unblocked
+    elimination: n(n - 1)/2 + n divisions, and (n - 1)n(n + 1)/3 +
+    n(n - 1)/2 multiplies and as many subtractions, b and back
+    substitution included.  Pivot search and row swaps are free, and
+    vectorized evaluation reassociates sums without changing the
     multiply/divide work.
     """
     n = len(values)
@@ -249,10 +248,10 @@ def gaussian_solve_floats(matrix: np.ndarray, values: np.ndarray, ops: OpCounter
             # order[r] is the row of a that buffer column r came from
             panel = np.ascontiguousarray(a[k0:, k0:k1].T)
             order = np.arange(k0, n)
-            _factor_panel(panel, order, 0, k1 - k0, k0, n, ops)
+            _factor_panel(panel, order, 0, k1 - k0)
             a[k0:, k0:k1] = panel.T
             # The columns right of the panel were left alone until every
-            # swap of the panel was known; their share of the counts is above.
+            # swap of the panel was known.
             moved = np.flatnonzero(order != np.arange(k0, n))
             a[k0 + moved, k1:] = a[order[moved], k1:]
             _forward(a[k0:k1, k0:k1], a[k0:k1, k1:])
@@ -260,11 +259,10 @@ def gaussian_solve_floats(matrix: np.ndarray, values: np.ndarray, ops: OpCounter
                 r1 = min(r0 + PANEL, n)
                 a[r0:r1, k1:] -= a[r0:r1, k0:k1] @ a[k0:k1, k1:]
         for i in range(n - 1, -1, -1):
-            s = a[i, n] - a[i, i + 1:n] @ x[i + 1:]
-            ops.muls += n - 1 - i
-            ops.subs += n - 1 - i
-            x[i] = s / a[i, i]
-            ops.divs += 1
+            x[i] = (a[i, n] - a[i, i + 1:n] @ x[i + 1:]) / a[i, i]
+    ops.divs += n * (n - 1) // 2 + n
+    ops.muls += (n - 1) * n * (n + 1) // 3 + n * (n - 1) // 2
+    ops.subs += (n - 1) * n * (n + 1) // 3 + n * (n - 1) // 2
     return x
 
 

@@ -11,9 +11,9 @@ the caller knows whether 0.1 means its binary value or 1/10.
 format, and `exact_str` writes an exact scalar back at any size.  After
 the gate, `is_exact` picks the path: the closed forms, the elimination
 oracle and `Polynomial.evaluate` run in ints on exact scalars, and
-`CountingNumber` runs their generic code, with plain ints as the
-identities 0 and 1; `exact_div` keeps a quotient of two ints rational
-there.
+`CountingNumber` runs their generic code; a solve takes exact nodes with
+exact values or counted nodes with counted values, never a mix.
+`exact_div` keeps a quotient of two ints rational on both paths.
 
 `CountingNumber` wraps a scalar and tallies every arithmetic operation into
 a shared `OpCounter`; it divides through `exact_div`, so wrapped ints
@@ -73,10 +73,12 @@ def exact_str(x) -> str:
 
 
 def exact_div(x, y):
-    """Field division that keeps int identities exact: int/int stays rational.
+    """Field division that keeps a quotient of two ints rational.
 
-    Plain ints only ever appear as the identities 0 and 1 inside the
-    elimination oracle; true division would silently turn them into floats.
+    `inverse` divides the int rows of exact nodes by their int column
+    denominators through it, the generic elimination its plain-int
+    identities 0 and 1, and a `CountingNumber` its wrapped values; true
+    division would silently turn int/int into a float.
     """
     if isinstance(x, int) and isinstance(y, int):
         return Fraction(x, y)
@@ -159,9 +161,6 @@ class CountingNumber:
 
     def __bool__(self):
         return bool(self.value)
-
-    def __float__(self):
-        return float(self.value)
 
     def __repr__(self):
         return f"CountingNumber({self.value!r})"

@@ -25,17 +25,14 @@ k != j of d_k cancel between the two, so inverse entry (i, j) is
 (-1)^(p-1-i) d_j^(p-1) H_j[p-1-i] / E_j.  `_combine_exact` puts the
 values over one common denominator and the weights d_j^(p-1) / E_j over
 G = lcm(E_j), so each output coefficient is one integer dot product.
-`_combine_generic` runs when a node or a value is a `CountingNumber`:
-the same sum on the scalars' own operators, one division per column,
-then p^2 multiply-adds; the op-count tests pin that path.
-`CountingNumber` nodes have every d_k = 1, so E_j is the Lagrange
-denominator prod over k != j of (a_j - a_k).  Exact nodes with counted
-values keep their int rows and E_j and divide each value by
-E_j / d_j^(p-1), so they count what counted nodes count: p divisions,
-p^2 multiplies and p^2 adds.  Every division goes through
-`field.exact_div`, so plain ints among counted values stay rational;
-a counted float is refused there, since E_j / d_j^(p-1) can pass the
-double range.
+`_combine_generic` runs on `CountingNumber` nodes, whose d_k are all 1,
+so E_j is the Lagrange denominator prod over k != j of (a_j - a_k): the
+same sum on the scalars' own operators, one division per column, then
+p^2 multiply-adds; the op-count tests pin that path.  A solve is all
+exact or all counted: exact nodes take only int and Fraction values,
+counted nodes only `CountingNumber` values, and any other mix raises
+TypeError.  `inverse` and `poly_from_roots` take either kind of node
+set, and `Polynomial.evaluate` any mix.
 
 `DenseMatrix` and `build_matrix` give the explicit matrix that the
 elimination oracle and the tests work on; no closed form uses them.
@@ -49,7 +46,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .field import CountingNumber, exact_div, exact_scalar, is_exact
+from .field import exact_div, exact_scalar, is_exact
 from .poly import Polynomial
 from .symfuncs import NodeSet, compute_sigma, deflate_all
 
@@ -211,22 +208,21 @@ def solve_square(nodes: NodeSet, q) -> list:
 
     Quadratic cost overall: the sigma pass, p deflation rows, one
     denominator per column, and a final grid-vector sum.  No elimination
-    anywhere.  Each value passes `field.exact_scalar`, and exact nodes
-    refuse a counted float (TypeError).
+    anywhere.  Each value passes `field.exact_scalar`, and the solve is
+    all exact or all counted: the values are ints and Fractions exactly
+    when the nodes are, else every value is a `CountingNumber`.  Any
+    other mix raises TypeError.
     """
     n = len(nodes)
     if len(q) != n:
         raise DimensionMismatchError(f"{n} nodes but {len(q)} values")
     q = [exact_scalar(x) for x in q]
-    exact_nodes = is_exact(nodes)
-    if exact_nodes:
-        for x in q:
-            if isinstance(x, CountingNumber) and not is_exact([x.value]):
-                raise TypeError(
-                    f"exact nodes with counted value {x!r}: wrap an int or a Fraction, "
-                    f"since the column divisors of exact nodes can pass the double range")
+    exact = is_exact(nodes)
+    if any(is_exact([x]) != exact for x in q):
+        raise TypeError("a solve is all exact or all counted: int and Fraction values "
+                        "on exact nodes, CountingNumber values on counted nodes")
     rows = deflate_all(compute_sigma(nodes)).rows
-    combine = _combine_exact if exact_nodes and is_exact(q) else _combine_generic
+    combine = _combine_exact if exact else _combine_generic
     return combine(rows, nodes.pairs, _column_denominators(nodes.pairs), q)
 
 
@@ -253,10 +249,13 @@ def _combine_exact(rows, pairs, denominators, q) -> list:
 
 
 def _combine_generic(rows, pairs, denominators, q) -> list:
-    """The combine step on the scalars' own operators: the path the op counts pin."""
+    """The combine step on counted scalars' own operators: the path the op counts pin.
+
+    Counted nodes have every d = 1, so `pairs` is not read and each value
+    is divided by its Lagrange denominator.
+    """
     n = len(rows)
-    scaled = [exact_div(x, e if d == 1 else Fraction(e, d ** (n - 1)))
-              for x, (_, d), e in zip(q, pairs, denominators)]
+    scaled = [x / e for x, e in zip(q, denominators)]
     w = []
     for t in range(n - 1, -1, -1):
         s = 0

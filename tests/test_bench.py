@@ -92,6 +92,14 @@ def test_blocked_denominators_are_the_sequential_product(p):
     assert np.array_equal(bench._column_denominators(nodes), sequential_denominators(nodes))
 
 
+@pytest.mark.parametrize("p", [1, 33, 300])
+def test_closed_form_restores_the_ufunc_buffer_size(p):
+    # numpy 2.0 scopes setbufsize to the errstate block the denominators cut it in
+    before = np.getbufsize()
+    bench.solve_square_floats(bench.bench_nodes(p), bench.bench_values(p), OpCounter())
+    assert np.getbufsize() == before
+
+
 @pytest.mark.parametrize("n", SIZES)
 def test_float_solve_matches_exact_solve(n):
     got = bench.solve_square_floats(bench.bench_nodes(n), bench.bench_values(n), OpCounter())

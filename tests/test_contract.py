@@ -7,9 +7,9 @@ exit 0 prints its result and exit 3 its inconsistency report as JSON on
 stdout.  Argv and files come from a small grammar of valid and malformed
 literals, exponents at the digit bound and just past it, duplicate
 nodes, wrong JSON types, deeply nested JSON, ragged CSV, byte-order
-marks, sizes that the size budget refuses, `bench` size lists and
-repetition counts, `--pretty`, and `--out` to a file or into a missing
-directory (exit 1, and nothing is created).
+marks, sizes up to 64 and sizes that the size budget refuses, `bench`
+size lists and repetition counts, `--pretty`, and `--out` to a file or
+into a missing directory (exit 1, and nothing is created).
 """
 
 import io
@@ -41,7 +41,7 @@ malformed_literals = st.sampled_from(
      "1" * (BOUND + 1), "\x00", "½"])
 small_sizes = st.integers(1, 40)
 # n past the size budget is refused before anything is built
-sizes = st.one_of(small_sizes, small_sizes, small_sizes,
+sizes = st.one_of(small_sizes, small_sizes, small_sizes, st.integers(41, 64),
                   st.sampled_from([10**4, 10**9, 10**18, sys.maxsize, 10**20, 10**30]))
 bench_sizes = st.one_of(
     st.lists(st.integers(1, 8), min_size=2, max_size=3, unique=True).map(

@@ -11,7 +11,7 @@ from hypothesis import example, given
 
 from helpers import exact_scalars, node_sets, random_node_set, random_values, small_fractions
 from vandersolve.field import CountingNumber, OpCounter, counting
-from vandersolve.kernel import kernel_basis
+from vandersolve.kernel import kernel_basis, solve_general
 from vandersolve.oracle import (
     cofactor_determinant,
     gaussian_solve,
@@ -336,19 +336,6 @@ def test_exact_nodes_with_float_values_raise_type_error():
         solve_square(make_nodes(1, 2), [0.5, 1.5])
 
 
-@pytest.mark.parametrize("nodes", [
-    [k + F(1, 10**6 + k) for k in range(45)],  # the column divisors pass the double range
-    [F(10**12 + 2 * k + 1, 10**12 + 2 * k) for k in range(30)],
-])
-def test_exact_nodes_refuse_counted_floats(nodes):
-    q = counting([1.0 + k for k in range(len(nodes))], OpCounter())
-    with pytest.raises(TypeError, match="counted value CountingNumber"):
-        solve_square(NodeSet(tuple(nodes)), q)
-    # counted exact values on the same nodes still solve
-    w = solve_square(NodeSet(tuple(nodes)), counting([F(x.value) for x in q], OpCounter()))
-    assert [x.value for x in w] == solve_square(NodeSet(tuple(nodes)), [F(x.value) for x in q])
-
-
 @pytest.mark.parametrize("nodes", [(1.0, 2.0), (np.float64(1),), (F(1), Decimal("0.5"))])
 def test_inexact_nodes_raise_type_error(nodes):
     with pytest.raises(TypeError, match="Fraction"):
@@ -375,27 +362,34 @@ def test_numpy_integer_values_take_the_exact_path():
     assert all(type(x) is Fraction for x in w)
 
 
-@given(_mixed_systems)
-@example(([0, F(1, 2), F(-1, 3), 5], [1, F(2, 3), -4, 0]))
-@example(([F(3, 7)], [2]))
-def test_exact_nodes_with_counted_values_combine_on_the_projective_rows(system):
-    # the integer rows and E_j of the exact nodes, combined on the values' own operators
-    nodes, q = system
-    ns, p = NodeSet(tuple(nodes)), len(nodes)
-    ops = OpCounter()
-    w = solve_square(ns, counting(q, ops))
-    assert [x.value for x in w] == solve_square(ns, q)
-    assert all(type(x.value) is Fraction for x in w)
-    assert (ops.divs, ops.muls, ops.adds, ops.subs, ops.negs) == (p, p * p, p * p, 0, p // 2)
+def _counted(xs) -> list:
+    return counting(xs, OpCounter())
 
 
-@pytest.mark.parametrize("nodes", [(0, 1, 2), (F(1), F(2), F(-3)), (0, F(1, 2), 4)])
-def test_partly_counted_values_stay_rational(nodes):
-    ns = NodeSet(nodes)
-    q = [CountingNumber(1, OpCounter()), 2, F(1, 3)]
-    w = solve_square(ns, q)
-    assert [x.value for x in w] == solve_square(ns, [1, 2, F(1, 3)])
-    assert all(type(x.value) is Fraction for x in w)
+# Every mix of exact and counted scalars that a solve refuses.  The two
+# node sets with counted floats have column divisors past the double range.
+_MIXED_SOLVES = {
+    "int-nodes-counted-ints": ((0, 1, 2), _counted([1, 2, 3])),
+    "rational-nodes-counted-fractions": ((F(1, 2), F(-2, 3), 5), _counted([F(1, 3), 2, F(-7, 4)])),
+    "wide-divisors-counted-floats": (tuple(k + F(1, 10**6 + k) for k in range(45)),
+                                     _counted([1.0 + k for k in range(45)])),
+    "near-one-ratios-counted-floats": (tuple(F(10**12 + 2 * k + 1, 10**12 + 2 * k)
+                                             for k in range(30)),
+                                       _counted([1.0 + k for k in range(30)])),
+    "partly-counted-values": ((0, F(1, 2), 4), [CountingNumber(1, OpCounter()), 2, F(1, 3)]),
+    "counted-nodes-plain-fractions": (tuple(_counted([F(1), F(2), F(-3)])),
+                                      [F(1), F(1, 2), F(-4)]),
+}
+
+
+@pytest.mark.parametrize("solve", [
+    solve_square, interpolate, lambda ns, q: solve_general(ns, q, len(q) + 1),
+], ids=["solve_square", "interpolate", "solve_general"])
+@pytest.mark.parametrize("case", sorted(_MIXED_SOLVES))
+def test_a_solve_is_all_exact_or_all_counted(case, solve):
+    nodes, q = _MIXED_SOLVES[case]
+    with pytest.raises(TypeError, match="all exact or all counted"):
+        solve(NodeSet(nodes), list(q))
 
 
 def test_inverse_of_one_counted_node_is_rational():
