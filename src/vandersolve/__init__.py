@@ -33,7 +33,6 @@ from .symfuncs import (
 from .vandermonde import (
     DenseMatrix,
     DimensionMismatchError,
-    build_matrix,
     determinant,
     interpolate,
     inverse,
@@ -56,7 +55,6 @@ __all__ = [
     "Polynomial",
     "ScalarParseError",
     "SigmaTable",
-    "build_matrix",
     "compute_sigma",
     "counting",
     "deflate_all",

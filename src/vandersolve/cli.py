@@ -564,7 +564,3 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVALID
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

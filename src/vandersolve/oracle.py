@@ -1,11 +1,12 @@
 """Brute-force reference implementations.
 
 Naive on purpose, exact over rationals, and sharing no code with the
-closed-form solvers: subset enumeration for the symmetric coefficients,
-Gaussian elimination for solve and rank, and Laplace expansion for
-determinants.  The tests use all of them; the CLI's --verify uses the
-elimination only, to cross-check `interpolate`, on exact scalars in
-every output format.
+closed-form solvers (the only package module imported is `field`):
+subset enumeration for the symmetric coefficients, Gaussian elimination
+for solve and rank, and Laplace expansion for determinants.  Matrices
+are plain sequences of rows.  The tests use all of them; the CLI's
+--verify uses the elimination only, to cross-check `interpolate`, on
+exact scalars in every output format.
 
 `gaussian_solve` has two paths, chosen by `field.is_exact` only.  When
 every entry of the matrix and the right-hand side is an int or a
@@ -37,15 +38,14 @@ from fractions import Fraction
 from itertools import combinations
 
 from .field import exact_div, is_exact
-from .vandermonde import DenseMatrix
 
 
 class SingularMatrixError(ArithmeticError):
     """Elimination found an all-zero pivot column."""
 
 
-def gaussian_solve(m: DenseMatrix, q) -> list:
-    """Exact Gaussian elimination.
+def gaussian_solve(rows, q) -> list:
+    """Exact Gaussian elimination on a square sequence of rows.
 
     Ints and Fractions take the fraction-free path (`_integer_solve`),
     which pivots on the smallest magnitude and divides a row by the gcd
@@ -55,14 +55,14 @@ def gaussian_solve(m: DenseMatrix, q) -> list:
     pivot-size heuristic, so the operation count depends only on the
     matrix size.
     """
-    if m.rows != m.cols:
+    n = len(rows)
+    if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
-    n = m.rows
     if len(q) != n:
         raise ValueError(f"{n} equations but {len(q)} values")
-    if is_exact(m.entries, q):
-        return _integer_solve(m, q)
-    a = m.to_rows()
+    if is_exact(*rows, q):
+        return _integer_solve(rows, q)
+    a = [list(r) for r in rows]
     b = list(q)
     for k in range(n):
         pivot = next((r for r in range(k, n) if a[r][k] != 0), None)
@@ -92,12 +92,12 @@ def _primitive(row: list) -> list:
     return row if g <= 1 else [x // g for x in row]
 
 
-def _integer_solve(m: DenseMatrix, q) -> list:
+def _integer_solve(matrix, q) -> list:
     """gaussian_solve on integer rows, primitive as pivots; one Fraction per output."""
-    n = m.rows
+    n = len(matrix)
     rows = []
-    for i in range(n):
-        row = list(m.row(i)) + [q[i]]
+    for given, y in zip(matrix, q):
+        row = [*given, y]
         scale = math.lcm(*(x.denominator for x in row))
         rows.append(_primitive([x.numerator * (scale // x.denominator) for x in row]))
     for k in range(n):
@@ -152,34 +152,35 @@ def solve_by_elimination(nodes, q) -> list:
     p = len(nodes)
     if len(q) != p:
         raise ValueError(f"{p} equations but {len(q)} values")
-    entries = []
+    rows = []
     values = []
     for a, y in zip(nodes, q):
         n, d = a.numerator, a.denominator
         row = [d ** (p - 1)]
         for _ in range(p - 1):
             row.append(row[-1] // d * n)
-        entries.extend(row)
+        rows.append(row)
         values.append(y * row[0])
-    return gaussian_solve(DenseMatrix(p, p, entries), values)
+    return gaussian_solve(rows, values)
 
 
-def gaussian_rank(m: DenseMatrix) -> int:
-    """Exact row-echelon rank."""
-    a = m.to_rows()
+def gaussian_rank(rows) -> int:
+    """Exact row-echelon rank of a sequence of equal-length rows."""
+    a = [list(r) for r in rows]
+    height, width = len(a), len(a[0]) if a else 0
     rank = 0
-    for col in range(m.cols):
-        pivot = next((r for r in range(rank, m.rows) if a[r][col] != 0), None)
+    for col in range(width):
+        pivot = next((r for r in range(rank, height) if a[r][col] != 0), None)
         if pivot is None:
             continue
         a[rank], a[pivot] = a[pivot], a[rank]
-        for r in range(rank + 1, m.rows):
+        for r in range(rank + 1, height):
             if a[r][col] != 0:
                 f = exact_div(a[r][col], a[rank][col])
-                for c in range(col, m.cols):
+                for c in range(col, width):
                     a[r][c] = a[r][c] - f * a[rank][c]
         rank += 1
-        if rank == m.rows:
+        if rank == height:
             break
     return rank
 
@@ -197,11 +198,11 @@ def sigma_bruteforce(nodes, t: int):
     return sum(math.prod(c) for c in combinations(seq, t))
 
 
-def cofactor_determinant(m: DenseMatrix):
+def cofactor_determinant(rows):
     """Laplace expansion along the first row; factorial cost, keep n small."""
-    if m.rows != m.cols:
+    if any(len(r) != len(rows) for r in rows):
         raise ValueError("matrix must be square")
-    return _laplace(m.to_rows())
+    return _laplace([list(r) for r in rows])
 
 
 def _laplace(rows):

@@ -34,8 +34,7 @@ counted nodes only `CountingNumber` values, and any other mix raises
 TypeError.  `inverse` and `poly_from_roots` take either kind of node
 set, and `Polynomial.evaluate` any mix.
 
-`DenseMatrix` and `build_matrix` give the explicit matrix that the
-elimination oracle and the tests work on; no closed form uses them.
+`DenseMatrix` is the record `inverse` returns.
 
 Indexing note: everything here is 0-based.  Matrix entry (i, j) is
 node_i ** j, and coefficient index i is the degree-i coefficient.
@@ -48,13 +47,12 @@ from operator import mul
 
 from .field import exact_div, exact_scalar, is_exact
 from .poly import Polynomial
-from .symfuncs import NodeSet, compute_sigma, deflate_all
+from .symfuncs import NodeSet, _signed, compute_sigma, deflate_all
 
 __all__ = [
     "DenseMatrix",
     "DimensionMismatchError",
     "Polynomial",
-    "build_matrix",
     "determinant",
     "interpolate",
     "inverse",
@@ -68,7 +66,7 @@ class DimensionMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class DenseMatrix:
-    """Row-major matrix of scalars."""
+    """The p x p inverse as `inverse` returns it: row-major entries."""
 
     rows: int
     cols: int
@@ -81,65 +79,11 @@ class DenseMatrix:
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
                 f"entries, got {len(self.entries)}")
 
-    @classmethod
-    def from_rows(cls, rows) -> "DenseMatrix":
-        rows = [list(r) for r in rows]
-        width = len(rows[0]) if rows else 0
-        if any(len(r) != width for r in rows):
-            raise ValueError("ragged rows")
-        return cls(len(rows), width, tuple(x for r in rows for x in r))
-
-    @classmethod
-    def identity(cls, n: int) -> "DenseMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    def at(self, i: int, j: int):
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> tuple:
         return self.entries[i * self.cols:(i + 1) * self.cols]
 
-    def column(self, j: int) -> tuple:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def mat_vec(self, v) -> list:
-        if len(v) != self.cols:
-            raise DimensionMismatchError(f"matrix has {self.cols} columns, vector {len(v)}")
-        out = []
-        for i in range(self.rows):
-            s = 0
-            for j in range(self.cols):
-                s = s + self.at(i, j) * v[j]
-            out.append(s)
-        return out
-
-    def mat_mul(self, other: "DenseMatrix") -> "DenseMatrix":
-        if self.cols != other.rows:
-            raise DimensionMismatchError(f"{self.cols} columns against {other.rows} rows")
-        entries = []
-        for i in range(self.rows):
-            for j in range(other.cols):
-                s = 0
-                for k in range(self.cols):
-                    s = s + self.at(i, k) * other.at(k, j)
-                entries.append(s)
-        return DenseMatrix(self.rows, other.cols, tuple(entries))
-
-
-def build_matrix(nodes: NodeSet, n: int) -> DenseMatrix:
-    """p x n matrix with rows (1, a, a^2, ..., a^(n-1))."""
-    if n < 1:
-        raise ValueError("need at least one column")
-    entries = []
-    for a in nodes:
-        row = [1]
-        for _ in range(n - 1):
-            row.append(row[-1] * a)
-        entries.extend(row)
-    return DenseMatrix(len(nodes), n, tuple(entries))
 
 
 def determinant(nodes: NodeSet):
@@ -150,12 +94,6 @@ def determinant(nodes: NodeSet):
         for j in range(i):
             det = det * (seq[i] - seq[j])
     return det
-
-
-def _numerator_coeff(row, n: int, i: int):
-    """Degree-i coefficient of row j's polynomial prod over k != j of (d_k x - n_k)."""
-    c = row[n - 1 - i]
-    return c if (n - 1 - i) % 2 == 0 else -c
 
 
 def _column_denominators(pairs) -> list:
@@ -198,7 +136,7 @@ def inverse(nodes: NodeSet) -> DenseMatrix:
     for row, (_, d), e in zip(rows, nodes.pairs, _column_denominators(nodes.pairs)):
         lead = d ** (n - 1)
         columns.append([exact_div(c if d == 1 else lead * c, e)
-                        for c in (_numerator_coeff(row, n, i) for i in range(n))])
+                        for c in (_signed(row[t], t) for t in range(n - 1, -1, -1))])
     entries = tuple(columns[j][i] for i in range(n) for j in range(n))
     return DenseMatrix(n, n, entries)
 

@@ -43,3 +43,32 @@ def affine_member(space, coefficients) -> list:
     assert len(coefficients) == space.basis.dimension
     return [x + sum(t * v[i] for t, v in zip(coefficients, space.basis.vectors))
             for i, x in enumerate(space.particular)]
+
+
+# --- exact matrix algebra on plain rows: the reference side of the tests ------------
+
+
+def vandermonde_rows(nodes, n: int) -> list:
+    """The p x n rows (1, a, a^2, ..., a^(n-1)), each by repeated multiplication."""
+    rows = []
+    for a in nodes:
+        row = [1]
+        for _ in range(n - 1):
+            row.append(row[-1] * a)
+        rows.append(row)
+    return rows
+
+
+def mat_vec(rows, v) -> list:
+    """rows @ v; a vector of the wrong length raises ValueError."""
+    return [sum(x * y for x, y in zip(row, v, strict=True)) for row in rows]
+
+
+def mat_mul(a, b) -> list:
+    """a @ b as rows: row i is b's columns dotted with row i of a."""
+    columns = list(zip(*b, strict=True))
+    return [mat_vec(columns, row) for row in a]
+
+
+def identity(n: int) -> list:
+    return [[int(i == j) for j in range(n)] for i in range(n)]

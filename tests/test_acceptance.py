@@ -13,19 +13,21 @@ import sys
 import time
 from fractions import Fraction
 
-from helpers import affine_member, random_node_set, random_values
+from helpers import (
+    affine_member,
+    identity,
+    mat_mul,
+    mat_vec,
+    random_node_set,
+    random_values,
+    vandermonde_rows,
+)
 from vandersolve import bench, oracle
 from vandersolve.field import OpCounter, counting
 from vandersolve.kernel import kernel_basis, solve_general
 from vandersolve.poly import Polynomial
 from vandersolve.symfuncs import NodeSet, compute_sigma, deflate_all
-from vandersolve.vandermonde import (
-    DenseMatrix,
-    build_matrix,
-    determinant,
-    inverse,
-    solve_square,
-)
+from vandersolve.vandermonde import determinant, inverse, solve_square
 
 F = Fraction
 
@@ -70,13 +72,13 @@ def test_criterion_3_inverse_correctness():
     t0 = time.monotonic()
     for ns in _square_node_sets():
         n = len(ns)
-        matrix = build_matrix(ns, n)
-        inv_matrix = inverse(ns)
-        eye = DenseMatrix.identity(n)
-        assert inv_matrix.mat_mul(matrix) == eye
-        assert matrix.mat_mul(inv_matrix) == eye
+        matrix = vandermonde_rows(ns, n)
+        inv_matrix = inverse(ns).to_rows()
+        eye = identity(n)
+        assert mat_mul(inv_matrix, matrix) == eye
+        assert mat_mul(matrix, inv_matrix) == eye
         for j in range(n):
-            column_poly = Polynomial(inv_matrix.column(j))
+            column_poly = Polynomial(tuple(r[j] for r in inv_matrix))
             for i, a in enumerate(ns):
                 assert column_poly.evaluate(a) == (1 if i == j else 0)
     _finish(3, "inverse and Lagrange delta property, 100 systems", t0, 30)
@@ -88,7 +90,7 @@ def test_criterion_4_solve_equivalence():
     for ns in _square_node_sets():
         n = len(ns)
         q = random_values(rng, n)
-        matrix = build_matrix(ns, n)
+        matrix = vandermonde_rows(ns, n)
         assert solve_square(ns, q) == oracle.gaussian_solve(matrix, q)
         if n <= 6:
             assert determinant(ns) == oracle.cofactor_determinant(matrix)
@@ -104,11 +106,10 @@ def test_criterion_5_kernel_suite():
         ns = random_node_set(rng, p)
         basis = kernel_basis(ns, n)
         assert basis.dimension == n - p
-        matrix = build_matrix(ns, n)
+        matrix = vandermonde_rows(ns, n)
         for vec in basis.vectors:
-            assert matrix.mat_vec(list(vec)) == [0] * p
-        stacked = DenseMatrix.from_rows([list(v) for v in basis.vectors])
-        assert oracle.gaussian_rank(stacked) == n - p
+            assert mat_vec(matrix, vec) == [0] * p
+        assert oracle.gaussian_rank(basis.vectors) == n - p
         assert oracle.gaussian_rank(matrix) == p
 
     fixture_nodes = NodeSet((F(2), F(3), F(4)))
@@ -129,12 +130,12 @@ def test_criterion_6_generalized_solve():
         ns = random_node_set(rng, p)
         q = random_values(rng, p)
         space = solve_general(ns, q, n)
-        matrix = build_matrix(ns, n)
-        assert matrix.mat_vec(list(space.particular)) == q
+        matrix = vandermonde_rows(ns, n)
+        assert mat_vec(matrix, space.particular) == q
         assert all(x == 0 for x in space.particular[p:])
         for _ in range(20):
             coeffs = random_values(rng, n - p)
-            assert matrix.mat_vec(affine_member(space, coeffs)) == q
+            assert mat_vec(matrix, affine_member(space, coeffs)) == q
     _finish(6, "affine space: particular, padding, 20 samples per case", t0, 30)
 
 

@@ -11,7 +11,7 @@ import pytest
 from vandersolve import bench, oracle
 from vandersolve.field import OpCounter, counting
 from vandersolve.symfuncs import NodeSet, compute_sigma, deflate_all
-from vandersolve.vandermonde import DenseMatrix, solve_square
+from vandersolve.vandermonde import solve_square
 
 SIZES = [1, 2, 3, 5, 8]
 # both sides of a PANEL block boundary, and more than two blocks
@@ -153,8 +153,7 @@ def test_gaussian_kernel_matches_oracle(n):
     vals = bench.bench_values(n)
     matrix = bench.build_matrix_floats(nodes, n)
     got = bench.gaussian_solve_floats(matrix, vals, OpCounter())
-    want = oracle.gaussian_solve(
-        DenseMatrix(n, n, tuple(matrix.flatten().tolist())), vals.tolist())
+    want = oracle.gaussian_solve(matrix.tolist(), vals.tolist())
     assert np.allclose(got, want, rtol=1e-8)
 
 
@@ -226,9 +225,8 @@ def test_gaussian_kernel_with_pivots_from_below_while_factoring_the_right_half()
 
 
 def instrumented_gaussian_counts(matrix, vals):
-    p = len(vals)
     inst = OpCounter()
-    wrapped = DenseMatrix(p, p, tuple(counting(matrix.flatten().tolist(), inst)))
+    wrapped = [counting(r, inst) for r in matrix.tolist()]
     oracle.gaussian_solve(wrapped, counting(vals.tolist(), inst))
     return inst
 
@@ -241,8 +239,7 @@ def test_gaussian_kernel_with_small_panels_matches_oracle(monkeypatch, panel, p)
     matrix, vals = random_system(p)
     ops = OpCounter()
     got = bench.gaussian_solve_floats(matrix, vals, ops)
-    want = oracle.gaussian_solve(DenseMatrix(p, p, tuple(matrix.flatten().tolist())),
-                                 vals.tolist())
+    want = oracle.gaussian_solve(matrix.tolist(), vals.tolist())
     np.testing.assert_allclose(got, want, rtol=1e-9)
     assert ops == instrumented_gaussian_counts(matrix, vals)
 
@@ -283,7 +280,7 @@ def test_gaussian_bulk_counts_equal_instrumented_counts(n):
     bench.gaussian_solve_floats(matrix, vals, bulk)
 
     inst = OpCounter()
-    wrapped = DenseMatrix(n, n, tuple(counting(matrix.flatten().tolist(), inst)))
+    wrapped = [counting(r, inst) for r in matrix.tolist()]
     oracle.gaussian_solve(wrapped, counting(vals.tolist(), inst))
     assert bulk == inst
 

@@ -401,6 +401,15 @@ def test_csv_single_column_feeds_sigma(tmp_path, capsys):
     assert out == '{"sigma":["1","6","11","6"]}\n'
 
 
+@pytest.mark.parametrize("text", ["", "node,value\n"], ids=["empty", "header-only"])
+def test_csv_without_data_rows_is_exit_one(tmp_path, capsys, text):
+    path = tmp_path / "points.csv"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "interpolate", "--csv", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: {path} holds no data rows\n"
+
+
 def test_csv_ragged_rows_rejected(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("0,1\n1\n", encoding="utf-8")
@@ -487,7 +496,8 @@ def test_json_wrong_types_are_exit_one(tmp_path, capsys, data):
     "[" * 100000 + "]" * 100000,
     '{"nodes": ' + "[" * 100000 + "]" * 100000 + "}",
     '{"nodes": ["1"], "values": ["2"], "n": ' + "1" * 5000 + "}",
-], ids=["deep-array", "deep-nodes", "long-int"])
+    '{"nodes": [1,}',
+], ids=["deep-array", "deep-nodes", "long-int", "malformed"])
 def test_json_the_decoder_refuses_is_exit_one(tmp_path, capsys, text):
     path = tmp_path / "problem.json"
     path.write_text(text, encoding="utf-8")
@@ -503,6 +513,9 @@ def test_conflicting_sources_rejected(tmp_path, capsys):
     code, _, err = run_cli(capsys, "interpolate", "--nodes", "0", "--csv", str(path))
     assert code == 1
     assert "conflicts" in err
+    code, out, err = run_cli(capsys, "interpolate", "--csv", str(path), "--json", str(path))
+    assert (code, out) == (1, "")
+    assert err == "error: --csv conflicts with --json\n"
 
 
 def test_out_writes_file_instead_of_stdout(tmp_path, capsys):
@@ -660,6 +673,10 @@ def _repeat_first(basis: KernelBasis) -> KernelBasis:
     return replace(basis, vectors=(basis.vectors[0],) + basis.vectors[:-1])
 
 
+def _drop_last(basis: KernelBasis) -> KernelBasis:
+    return replace(basis, vectors=basis.vectors[:-1])
+
+
 def _space_with_wrong_coefficient(nodes, q, n):
     space = solve_general(nodes, q, n)
     return replace(space, particular=_bump_first(space.particular))
@@ -688,6 +705,11 @@ def _sigma_with_wrong_entry(nodes):
     return replace(table, coeffs=table.coeffs[:2] + (table.coeffs[2] + 1,) + table.coeffs[3:])
 
 
+def _sigma_with_extra_coefficient(nodes):
+    table = compute_sigma(nodes)
+    return replace(table, coeffs=table.coeffs + (1,))
+
+
 def _deflated_with(change):
     def fake(table):
         rows = list(deflate_all(table).rows)
@@ -699,33 +721,44 @@ def _deflated_with(change):
 WIDE = ("solve", "--nodes", "0,1", "--values", "1,2", "--n", "4")
 SIGMA = ("sigma", "--nodes", "1,-2,3/2,5")
 DEFLATED = SIGMA + ("--deflated",)
+KERNEL = ("kernel", "--nodes", "1,2", "--n", "5")
 
 
-@pytest.mark.parametrize("argv,target,fake", [
+@pytest.mark.parametrize("argv,target,fake,detail", [
     (("interpolate", "--nodes", "1,2,3", "--values", "2,3,5"), "interpolate",
-     lambda nodes, q: Polynomial(_bump_first(interpolate(nodes, q).coeffs))),
+     lambda nodes, q: Polynomial(_bump_first(interpolate(nodes, q).coeffs)),
+     "interpolant misses its value at node 1"),
     (("interpolate", "--nodes", "1,-2,3/2", "--values", "2,3,5"), "interpolate",
-     _plus_root_product),
-    (WIDE, "solve_general", _space_with_wrong_coefficient),
-    (WIDE, "solve_general", _space_with_repeated_vector),
-    (("kernel", "--nodes", "1,2", "--n", "5"), "kernel_basis",
-     lambda nodes, n: _repeat_first(kernel_basis(nodes, n))),
-    (SIGMA, "compute_sigma", _sigma_with_wrong_entry),
+     _plus_root_product, "coefficients disagree with the elimination oracle"),
+    (WIDE, "solve_general", _space_with_wrong_coefficient,
+     "solution misses its value at node 0"),
+    (WIDE, "solve_general", _space_with_repeated_vector,
+     "kernel vector 1 breaks the echelon pattern"),
+    (KERNEL, "kernel_basis", lambda nodes, n: _repeat_first(kernel_basis(nodes, n)),
+     "kernel vector 1 breaks the echelon pattern"),
+    (KERNEL, "kernel_basis", lambda nodes, n: _drop_last(kernel_basis(nodes, n)),
+     "wrong kernel dimension"),
+    (SIGMA, "compute_sigma", _sigma_with_wrong_entry,
+     "sigma polynomial misses its value at node 1"),
+    (SIGMA, "compute_sigma", _sigma_with_extra_coefficient,
+     "sigma is not a monic row of 5 entries"),
     (DEFLATED, "deflate_all",
-     _deflated_with(lambda row: row[:2] + (row[2] - 1,) + row[3:])),
-    (DEFLATED, "deflate_all", _deflated_with(lambda row: row + (0,))),
+     _deflated_with(lambda row: row[:2] + (row[2] - 1,) + row[3:]),
+     "deflated row 1 times (x - -2) misses sigma(2)"),
+    (DEFLATED, "deflate_all", _deflated_with(lambda row: row + (0,)),
+     "deflated row 1 has 5 entries, not 4"),
     (DEFLATED, "deflate_all", lambda table: replace(
-        table, rows=deflate_all(table).rows[:-1])),
+        table, rows=deflate_all(table).rows[:-1]), "3 deflated rows for 4 nodes"),
 ], ids=["interpolate-coefficient", "interpolate-root-product", "solve-coefficient",
-        "solve-repeated-vector", "kernel-repeated-vector", "sigma-entry", "deflated-entry",
-        "deflated-row-length", "deflated-missing-row"])
-def test_verify_catches_tampered_results(capsys, monkeypatch, argv, target, fake):
+        "solve-repeated-vector", "kernel-repeated-vector", "kernel-missing-vector",
+        "sigma-entry", "sigma-extra-entry", "deflated-entry", "deflated-row-length",
+        "deflated-missing-row"])
+def test_verify_catches_tampered_results(capsys, monkeypatch, argv, target, fake, detail):
     monkeypatch.setattr(cli, target, fake)
     assert run_cli(capsys, *argv)[0] == 0  # the tampered result still renders
     code, out, err = run_cli(capsys, *argv, "--verify")
-    assert code == 4
-    assert out == ""
-    assert "verification failed" in err
+    assert (code, out) == (4, "")
+    assert err == f"error: verification failed: {detail}\n"
 
 
 def test_sigma_verify_has_no_node_limit(capsys):

@@ -7,7 +7,15 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from helpers import exact_scalars, random_fraction, random_node_set, small_fractions
+from helpers import (
+    exact_scalars,
+    identity,
+    mat_vec,
+    random_fraction,
+    random_node_set,
+    small_fractions,
+    vandermonde_rows,
+)
 from vandersolve.field import OpCounter, counting
 from vandersolve.oracle import (
     SingularMatrixError,
@@ -18,19 +26,17 @@ from vandersolve.oracle import (
     solve_by_elimination,
 )
 from vandersolve.symfuncs import NodeSet
-from vandersolve.vandermonde import DenseMatrix, build_matrix
 
 F = Fraction
 
 
 def test_solve_identity_returns_rhs():
     q = [F(3), F(-1), F(7)]
-    assert gaussian_solve(DenseMatrix.identity(3), q) == q
+    assert gaussian_solve(identity(3), q) == q
 
 
 def test_solve_lower_triangular_pair():
-    m = DenseMatrix.from_rows([[F(1), F(0)], [F(1), F(1)]])
-    assert gaussian_solve(m, [F(1), F(2)]) == [1, 1]
+    assert gaussian_solve([[F(1), F(0)], [F(1), F(1)]], [F(1), F(2)]) == [1, 1]
 
 
 def test_solve_random_systems_have_zero_residual():
@@ -38,33 +44,40 @@ def test_solve_random_systems_have_zero_residual():
     solved = 0
     while solved < 10:
         rows = [[random_fraction(rng) for _ in range(5)] for _ in range(5)]
-        m = DenseMatrix.from_rows(rows)
         q = [random_fraction(rng) for _ in range(5)]
         try:
-            x = gaussian_solve(m, q)
+            x = gaussian_solve(rows, q)
         except SingularMatrixError:
             continue
-        assert m.mat_vec(x) == q
+        assert mat_vec(rows, x) == q
         solved += 1
 
 
 def test_solve_reports_singular_matrix():
-    m = DenseMatrix.from_rows([[F(1), F(1)], [F(1), F(1)]])
     with pytest.raises(SingularMatrixError):
-        gaussian_solve(m, [F(1), F(2)])
+        gaussian_solve([[F(1), F(1)], [F(1), F(1)]], [F(1), F(2)])
+
+
+@pytest.mark.parametrize("rows", [[[1, 2]], [[1, 2], [3]], [[1], [2]]],
+                         ids=["wide", "ragged", "tall"])
+def test_non_square_rows_are_refused(rows):
+    with pytest.raises(ValueError, match="matrix must be square"):
+        gaussian_solve(rows, [1] * len(rows))
+    with pytest.raises(ValueError, match="matrix must be square"):
+        cofactor_determinant(rows)
 
 
 def test_rank_of_zero_matrix():
-    assert gaussian_rank(DenseMatrix(2, 3, (0,) * 6)) == 0
+    assert gaussian_rank([[0, 0, 0], [0, 0, 0]]) == 0
 
 
 def test_rank_of_identity():
-    assert gaussian_rank(DenseMatrix.identity(4)) == 4
+    assert gaussian_rank(identity(4)) == 4
 
 
 def test_rank_of_wide_vandermonde_is_node_count():
     nodes = NodeSet((F(1), F(2), F(3)))
-    assert gaussian_rank(build_matrix(nodes, 5)) == 3
+    assert gaussian_rank(vandermonde_rows(nodes, 5)) == 3
 
 
 def test_sigma_bruteforce_examples():
@@ -75,19 +88,19 @@ def test_sigma_bruteforce_examples():
 
 
 def test_cofactor_examples():
-    assert cofactor_determinant(DenseMatrix.from_rows([[F(9)]])) == 9
-    assert cofactor_determinant(DenseMatrix.identity(4)) == 1
+    assert cofactor_determinant([[F(9)]]) == 9
+    assert cofactor_determinant(identity(4)) == 1
     nodes = NodeSet((F(0), F(1), F(2)))
-    assert cofactor_determinant(build_matrix(nodes, 3)) == 2
+    assert cofactor_determinant(vandermonde_rows(nodes, 3)) == 2
 
 
 # --- the integer elimination path against the generic one -------------------------
 
 
-def _generic_solve(m, q):
+def _generic_solve(rows, q):
     """gaussian_solve's generic path: CountingNumber-wrapped scalars, unwrapped."""
     counter = OpCounter()
-    wrapped = DenseMatrix(m.rows, m.cols, counting(m.entries, counter))
+    wrapped = [counting(r, counter) for r in rows]
     return [x.value for x in gaussian_solve(wrapped, counting(q, counter))]
 
 
@@ -109,12 +122,12 @@ def _elimination_cases():
         [[0 if rng.random() < 0.4 else random_fraction(rng) for _ in range(7)]
          for _ in range(7)], [random_fraction(rng) for _ in range(7)]
     nodes = random_node_set(rng, 12)
-    yield "vandermonde", build_matrix(nodes, 12).to_rows(), [random_fraction(rng)
-                                                             for _ in range(12)]
+    yield "vandermonde", vandermonde_rows(nodes, 12), [random_fraction(rng)
+                                                       for _ in range(12)]
     # smallest-magnitude pivoting: the first nonzero candidate is not the smallest
     nodes = random_node_set(rng, 20)
-    yield "vandermonde p = 20", build_matrix(nodes, 20).to_rows(), [random_fraction(rng)
-                                                                   for _ in range(20)]
+    yield "vandermonde p = 20", vandermonde_rows(nodes, 20), [random_fraction(rng)
+                                                             for _ in range(20)]
     yield "large first entry", [[10**12, 3, -1, 2], [7, F(1, 3), 2, 0], [-2, 5, 1, 9],
                                 [1, 1, F(-4, 5), 6]], [1, F(2, 7), -3, 10**6]
     # pair gcds too short to take out the Sylvester factor: rows made primitive after updates
@@ -125,11 +138,10 @@ def _elimination_cases():
 @pytest.mark.parametrize("rows,q", [pytest.param(rows, q, id=name)
                                     for name, rows, q in _elimination_cases()])
 def test_integer_elimination_matches_generic_path(rows, q):
-    m = DenseMatrix.from_rows(rows)
-    x = gaussian_solve(m, q)
-    assert x == _generic_solve(m, q)
+    x = gaussian_solve(rows, q)
+    assert x == _generic_solve(rows, q)
     assert all(type(v) is F for v in x)
-    assert m.mat_vec(x) == list(q)
+    assert mat_vec(rows, x) == list(q)
 
 
 @pytest.mark.parametrize("rows", [
@@ -138,17 +150,16 @@ def test_integer_elimination_matches_generic_path(rows, q):
     [[0, 1], [0, F(-5, 7)]],                             # no pivot in column 0
 ])
 def test_integer_elimination_reports_singular_matrix_like_generic(rows):
-    m = DenseMatrix.from_rows(rows)
-    q = [1] * m.rows
+    q = [1] * len(rows)
     with pytest.raises(SingularMatrixError) as generic:
-        _generic_solve(m, q)
+        _generic_solve(rows, q)
     with pytest.raises(SingularMatrixError, match=str(generic.value)):
-        gaussian_solve(m, q)
+        gaussian_solve(rows, q)
 
 
 def test_generic_path_keeps_wrapped_ints_rational():
     counter = OpCounter()
-    x = gaussian_solve(DenseMatrix(2, 2, counting([2, 1, 1, 3], counter)),
+    x = gaussian_solve([counting([2, 1], counter), counting([1, 3], counter)],
                        counting([1, 2], counter))
     assert [v.value for v in x] == [F(1, 5), F(3, 5)]
     assert all(type(v.value) is F for v in x)
@@ -170,10 +181,10 @@ vandermonde_systems = st.lists(exact_nodes, min_size=1, max_size=8, unique=True)
 @example(([0, F(-1, 2), F(-7, 3), 3], [1, F(2, 3), -4, F(-5, 6)]))
 @example(([1, 2, 3, 4, 5, 6], [2, 3, 5, 7, 11, 13]))
 @example(([F(1, 10), F(-25, 100), F(7, 1000), F(-333, 1000), 2], [F(1, 10), 0, 3, F(-9, 7), 1]))
-def test_integer_vandermonde_rows_match_build_matrix(system):
+def test_integer_vandermonde_rows_match_fraction_rows(system):
     nodes, q = system
     x = solve_by_elimination(NodeSet(tuple(nodes)), q)
-    want = _generic_solve(build_matrix(NodeSet(tuple(F(a) for a in nodes)), len(nodes)),
+    want = _generic_solve(vandermonde_rows([F(a) for a in nodes], len(nodes)),
                           [F(y) for y in q])
     assert x == want
     assert all(type(v) is F for v in x)

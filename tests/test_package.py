@@ -1,8 +1,13 @@
-"""The package surface: `__all__` names every public name, and each one is bound."""
+"""The package surface: `__all__` names every public name, and each one is bound;
+the elimination oracle imports nothing of the code it checks."""
 
+import ast
+import sys
 import types
+from pathlib import Path
 
 import vandersolve
+from vandersolve import oracle
 
 
 def test_star_import_binds_exactly_all():
@@ -13,3 +18,19 @@ def test_star_import_binds_exactly_all():
     public = {name for name, value in vars(vandersolve).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == set(vandersolve.__all__)
+
+
+def test_oracle_imports_only_the_standard_library_and_field():
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    relative, absolute = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            base = "." * node.level
+            relative |= ({base + node.module} if node.module
+                         else {base + alias.name for alias in node.names})
+        elif isinstance(node, ast.ImportFrom):
+            absolute.add(node.module)
+        elif isinstance(node, ast.Import):
+            absolute |= {alias.name for alias in node.names}
+    assert relative == {".field"}
+    assert all(name.partition(".")[0] in sys.stdlib_module_names for name in absolute)
