@@ -5,6 +5,9 @@ ints or Fractions, and floats raise TypeError (`field.exact_scalar`).  A
 float lane exists for the complexity benchmark.  See the README for the CLI.
 """
 
+import collections
+
+from . import symfuncs
 from .field import (
     CountingNumber,
     OpCounter,
@@ -25,9 +28,6 @@ from .poly import Polynomial
 from .symfuncs import (
     DuplicateNodeError,
     NodeSet,
-    SigmaTable,
-    compute_sigma,
-    deflate_all,
     poly_from_roots,
 )
 from .vandermonde import (
@@ -54,7 +54,6 @@ __all__ = [
     "OverdeterminedResult",
     "Polynomial",
     "ScalarParseError",
-    "SigmaTable",
     "compute_sigma",
     "counting",
     "deflate_all",
@@ -68,3 +67,19 @@ __all__ = [
     "solve_overdetermined",
     "solve_square",
 ]
+
+# The package's `deflate_all(compute_sigma(nodes))` keeps its record shape for
+# callers of the package; the closed forms read `symfuncs`' int rows directly.
+_Sigma = collections.namedtuple("Sigma", "nodes coeffs sigma deflated", defaults=(None,))
+
+
+def compute_sigma(nodes: NodeSet) -> _Sigma:
+    """sigma(0..p) of the node set in `.sigma`, its int row in `.coeffs`."""
+    coeffs = symfuncs.compute_sigma(nodes)
+    return _Sigma(nodes, coeffs, symfuncs.normalized(coeffs))
+
+
+def deflate_all(table: _Sigma) -> _Sigma:
+    """The record with every deflated row, indices 0..p-1, in `.deflated`."""
+    rows = symfuncs.deflate_all(table.nodes, table.coeffs)
+    return table._replace(deflated=tuple(map(symfuncs.normalized, rows)))

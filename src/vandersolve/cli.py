@@ -45,7 +45,7 @@ from . import oracle
 from .field import ScalarParseError, exact_str, parse_scalar
 from .kernel import kernel_basis, solve_general, solve_overdetermined
 from .poly import Polynomial, first_miss
-from .symfuncs import NodeSet, compute_sigma, deflate_all
+from .symfuncs import NodeSet, compute_sigma, deflate_all, normalized
 from .vandermonde import interpolate
 
 EXIT_OK = 0
@@ -187,7 +187,7 @@ def _read_json(path: str) -> tuple:
     """JSON object with "nodes", optional "values" and optional "n"."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            data = json.load(fh)
+            data = json.load(fh, parse_float=str)  # each number as written, not as a double
     except (OSError, UnicodeDecodeError) as exc:
         raise _file_error("read", path, exc) from exc
     except json.JSONDecodeError as exc:
@@ -307,8 +307,11 @@ def _verify_basis(problem: Problem, payload: dict):
 
 
 def _verify_solution(problem: Problem, payload: dict):
-    """solve: the particular solution takes every value, and its kernel basis passes."""
-    _verify_residual(Polynomial(payload["particular"]), problem.nodes, problem.values, "solution")
+    """solve: the particular solution has n entries and takes every value; its basis passes."""
+    particular = payload["particular"]
+    if len(particular) != problem.n:
+        _verify_fail(f"solution has {len(particular)} entries, not {problem.n}")
+    _verify_residual(Polynomial(particular), problem.nodes, problem.values, "solution")
     _verify_basis(problem, payload)
 
 
@@ -401,11 +404,11 @@ def cmd_kernel(problem: Problem, args) -> tuple:
 
 
 def cmd_sigma(problem: Problem, args) -> tuple:
-    table = compute_sigma(problem.nodes)
-    if not args.deflated:
-        return {"sigma": table.sigma}, EXIT_OK
-    table = deflate_all(table)
-    return {"sigma": table.sigma, "deflated": table.deflated}, EXIT_OK
+    coeffs = compute_sigma(problem.nodes)
+    payload = {"sigma": normalized(coeffs)}
+    if args.deflated:
+        payload["deflated"] = tuple(map(normalized, deflate_all(problem.nodes, coeffs)))
+    return payload, EXIT_OK
 
 
 def cmd_bench(sizes, args) -> tuple:

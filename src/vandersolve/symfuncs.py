@@ -25,11 +25,11 @@ H_t = (S_t - n_j H_(t-1)) / d_j, an exact division.  No gcd runs
 anywhere, and no entry exceeds prod(|n_k| + d_k).  A node with d_k = 1
 takes the plain step above, so integer grids run the same pass as
 `CountingNumber`, which is the path the op-count tests pin.
-`SigmaTable.sigma` and `.deflated` divide the stored rows out on read,
-for `sigma --deflated` and the tests; the closed forms read the int rows.
+Both passes return these int rows as plain tuples for the closed forms;
+`normalized` divides one by its head, giving sigma or a deflated row.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -85,45 +85,16 @@ class NodeSet:
         return tuple((a, 1) for a in self.nodes)
 
 
-@dataclass(frozen=True)
-class SigmaTable:
-    """sigma(0..p) of a node set, optionally with every deflated row.
-
-    Stored are the coefficients of P(x) = prod(d_k x + n_k), with
-    a_k = n_k / d_k in lowest terms for exact nodes and d_k = 1 otherwise:
-    `coeffs[t]` is codegree t, so coeffs[0] = prod d_k and
-    sigma(t) = coeffs[t] / coeffs[0].  Row j of `rows` holds
-    P(x) / (d_j x + n_j) the same way, and deflated(j, t) =
-    rows[j][t] / rows[j][0].  `sigma` and `deflated` are derived on first
-    read; they are the stored rows themselves when every d_k = 1.
-    """
-
-    nodes: NodeSet
-    coeffs: tuple
-    rows: tuple | None = None
-
-    @cached_property
-    def sigma(self) -> tuple:
-        return _normalized(self.coeffs)
-
-    @cached_property
-    def deflated(self) -> tuple | None:
-        """Row i: coefficients of the set with node i removed, indices 0..p-1."""
-        if self.rows is None:
-            return None
-        return tuple(_normalized(row) for row in self.rows)
-
-
-def _normalized(row) -> tuple:
-    """row / row[0]: the row itself when row[0] is 1, else Fractions."""
+def normalized(row) -> tuple:
+    """row / row[0], sigma or a deflated row: the row itself when row[0] is 1, else Fractions."""
     head = row[0]
     if head == 1:
         return row
     return tuple(Fraction(c, head) for c in row)
 
 
-def compute_sigma(nodes: NodeSet) -> SigmaTable:
-    """All coefficients of prod(d_k x + n_k) in one triangular pass."""
+def compute_sigma(nodes: NodeSet) -> tuple:
+    """All coefficients of prod(d_k x + n_k) in one triangular pass, codegree 0 first."""
     p = len(nodes)
     s = [1] + [0] * p
     for i, (n, d) in enumerate(nodes.pairs, 1):
@@ -134,7 +105,7 @@ def compute_sigma(nodes: NodeSet) -> SigmaTable:
             for j in range(i, 0, -1):
                 s[j] = d * s[j] + n * s[j - 1]
             s[0] *= d
-    return SigmaTable(nodes=nodes, coeffs=tuple(s))
+    return tuple(s)
 
 
 def _quotient(s, n, d) -> tuple:
@@ -150,15 +121,14 @@ def _quotient(s, n, d) -> tuple:
     return tuple(row)
 
 
-def deflate_all(table: SigmaTable) -> SigmaTable:
-    """New table with all p deflated rows filled (quadratic total work).
+def deflate_all(nodes: NodeSet, coeffs: tuple) -> tuple:
+    """Row j: the coefficients of P(x) / (d_j x + n_j), P given by `coeffs`.
 
-    Rows are independent, so the loop could run in parallel without
+    `coeffs` is `compute_sigma(nodes)`; the p rows take quadratic total
+    work.  Rows are independent, so the loop could run in parallel without
     changing any result.
     """
-    s = table.coeffs
-    rows = tuple(_quotient(s, n, d) for n, d in table.nodes.pairs)
-    return replace(table, rows=rows)
+    return tuple(_quotient(coeffs, n, d) for n, d in nodes.pairs)
 
 
 def _signed(c, codegree: int):
@@ -170,10 +140,10 @@ def poly_from_roots(nodes: NodeSet) -> Polynomial:
 
     The coefficient of x^i is the codegree-(p-i) coefficient with
     alternating sign.  Exact nodes get Fraction coefficients, one
-    coeffs[p-i] / prod d_k each.
+    S_(p-i) / prod d_k each.
     """
     p = len(nodes)
-    s = compute_sigma(nodes).coeffs
+    s = compute_sigma(nodes)
     if not is_exact(nodes):
         return Polynomial(tuple(_signed(s[p - i], p - i) for i in range(p + 1)))
     return Polynomial(tuple(Fraction(_signed(s[p - i], p - i), s[0]) for i in range(p + 1)))

@@ -3,8 +3,8 @@
 Inverse and solve run the same four layers on every scalar type, with
 quadratic total work and no elimination:
 
-1. `symfuncs.compute_sigma`, the sigma pass;
-2. `symfuncs.deflate_all`, the deflated rows;
+1. `symfuncs.compute_sigma`, the sigma pass, one int row;
+2. `symfuncs.deflate_all`, the deflated rows, p int rows;
 3. `_column_denominators`, one denominator per column;
 4. the combine: `_combine_exact` or `_combine_generic` for the solve,
    one `field.exact_div` per entry for the inverse.
@@ -131,7 +131,7 @@ def inverse(nodes: NodeSet) -> DenseMatrix:
     Fraction each.
     """
     n = len(nodes)
-    rows = deflate_all(compute_sigma(nodes)).rows
+    rows = deflate_all(nodes, compute_sigma(nodes))
     columns = []
     for row, (_, d), e in zip(rows, nodes.pairs, _column_denominators(nodes.pairs)):
         lead = d ** (n - 1)
@@ -159,13 +159,13 @@ def solve_square(nodes: NodeSet, q) -> list:
     if any(is_exact([x]) != exact for x in q):
         raise TypeError("a solve is all exact or all counted: int and Fraction values "
                         "on exact nodes, CountingNumber values on counted nodes")
-    rows = deflate_all(compute_sigma(nodes)).rows
+    rows = deflate_all(nodes, compute_sigma(nodes))
     combine = _combine_exact if exact else _combine_generic
     return combine(rows, nodes.pairs, _column_denominators(nodes.pairs), q)
 
 
 def _combine_exact(rows, pairs, denominators, q) -> list:
-    """The combine step on the integer rows H_j of an exact table.
+    """The combine step on the integer rows H_j of exact nodes.
 
     w_i = (-1)^(p-1-i) sum_j H_j[p-1-i] * q_j * d_j^(p-1) / E_j.  The
     values go over their common denominator M and the column weights

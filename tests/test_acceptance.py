@@ -26,7 +26,7 @@ from vandersolve import bench, oracle
 from vandersolve.field import OpCounter, counting
 from vandersolve.kernel import kernel_basis, solve_general
 from vandersolve.poly import Polynomial
-from vandersolve.symfuncs import NodeSet, compute_sigma, deflate_all
+from vandersolve.symfuncs import NodeSet, compute_sigma, deflate_all, normalized
 from vandersolve.vandermonde import determinant, inverse, solve_square
 
 F = Fraction
@@ -51,20 +51,21 @@ def _square_node_sets():
 def test_criterion_1_sigma_oracle_equivalence():
     t0 = time.monotonic()
     for ns in _sigma_node_sets():
-        table = compute_sigma(ns)
+        sigma = normalized(compute_sigma(ns))
         for t in range(len(ns) + 1):
-            assert table.sigma[t] == oracle.sigma_bruteforce(ns, t)
+            assert sigma[t] == oracle.sigma_bruteforce(ns, t)
     _finish(1, "sigma oracle equivalence, 200 node sets", t0, 10)
 
 
 def test_criterion_2_deflation_identity_suite():
     t0 = time.monotonic()
     for ns in _sigma_node_sets():
-        table = deflate_all(compute_sigma(ns))
+        coeffs = compute_sigma(ns)
+        sigma, rows = normalized(coeffs), deflate_all(ns, coeffs)
         for i, a in enumerate(ns):
-            padded = (0, *table.deflated[i], 0)  # deflated rows are zero outside 0..p-1
+            padded = (0, *normalized(rows[i]), 0)  # deflated rows are zero outside 0..p-1
             for t in range(len(ns) + 1):
-                assert table.sigma[t] == padded[t + 1] + a * padded[t]
+                assert sigma[t] == padded[t + 1] + a * padded[t]
     _finish(2, "deflation recurrence identity", t0, 30)
 
 

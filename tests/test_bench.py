@@ -10,7 +10,7 @@ import pytest
 
 from vandersolve import bench, oracle
 from vandersolve.field import OpCounter, counting
-from vandersolve.symfuncs import NodeSet, compute_sigma, deflate_all
+from vandersolve.symfuncs import NodeSet, compute_sigma, deflate_all, normalized
 from vandersolve.vandermonde import solve_square
 
 SIZES = [1, 2, 3, 5, 8]
@@ -46,7 +46,7 @@ def test_bench_nodes_are_distinct_and_bounded():
 @pytest.mark.parametrize("p", SIZES)
 def test_sigma_kernel_matches_exact_path(p):
     got = bench.sigma_floats(bench.bench_nodes(p), OpCounter())
-    want = [float(x) for x in compute_sigma(exact_nodes(p)).sigma]
+    want = [float(x) for x in normalized(compute_sigma(exact_nodes(p)))]
     assert np.allclose(got, want, rtol=1e-9)
 
 
@@ -54,8 +54,8 @@ def test_sigma_kernel_matches_exact_path(p):
 def test_deflation_kernel_matches_exact_path(p):
     nodes = bench.bench_nodes(p)
     grid = deflation_grid(nodes, bench.sigma_floats(nodes, OpCounter()))
-    table = deflate_all(compute_sigma(exact_nodes(p)))
-    want = [[float(x) for x in row] for row in table.deflated]
+    ns = exact_nodes(p)
+    want = [[float(x) for x in normalized(row)] for row in deflate_all(ns, compute_sigma(ns))]
     assert np.allclose(grid, want, rtol=1e-9)
 
 

@@ -97,6 +97,27 @@ def test_sigma_deflated_grid(capsys):
                    '"deflated":[["1","5","6"],["1","4","3"],["1","3","2"]]}\n')
 
 
+RATIONAL_DEFLATED = ("sigma", "--nodes=1/2,-2/3,5,7/4", "--deflated")  # every row's head is not 1
+
+
+@pytest.mark.parametrize("flag,want", [
+    (None, '{"sigma":["1","79/12","175/24","-89/24","-35/12"],'
+           '"deflated":[["1","73/12","17/4","-35/6"],["1","29/4","97/8","35/8"],'
+           '["1","19/12","-5/8","-7/12"],["1","29/6","-7/6","-5/3"]]}\n'),
+    ("--float", '{"sigma":[1.0,6.583333333333333,7.291666666666667,-3.7083333333333335,'
+                '-2.9166666666666665],"deflated":[[1.0,6.083333333333333,4.25,'
+                '-5.833333333333333],[1.0,7.25,12.125,4.375],[1.0,1.5833333333333333,'
+                '-0.625,-0.5833333333333334],[1.0,4.833333333333333,-1.1666666666666667,'
+                '-1.6666666666666667]]}\n'),
+    ("--pretty", "sigma     1, 79/12, 175/24, -89/24, -35/12\ndeflated\n"
+                 "  1, 73/12, 17/4, -35/6\n  1, 29/4, 97/8, 35/8\n"
+                 "  1, 19/12, -5/8, -7/12\n  1, 29/6, -7/6, -5/3\n"),
+], ids=["json", "float", "pretty"])
+def test_sigma_deflated_rational_nodes(capsys, flag, want):
+    argv = RATIONAL_DEFLATED + ((flag,) if flag else ())
+    assert run_cli(capsys, *argv) == (0, want, "")
+
+
 def test_kernel_payload(capsys):
     code, out, _ = run_cli(capsys, "kernel", "--nodes", "1", "--n", "2")
     assert code == 0
@@ -365,6 +386,29 @@ def test_json_with_byte_order_mark(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "interpolate", "--json", str(path))
     assert code == 0
     assert out == '{"coefficients":["1","1"],"degree":1}\n'
+
+
+@pytest.mark.parametrize("command,text,flags", [
+    ("interpolate", '{"nodes": [1, 2], "values": [0.10000000000000000001, 2]}',
+     ("--nodes=1,2", "--values=0.10000000000000000001,2")),
+    ("sigma", '{"nodes": [0.30000000000000001, 0.3]}', ("--nodes=0.30000000000000001,0.3",)),
+    ("interpolate", '{"nodes": [1, 2], "values": [1, 1e400]}',
+     ("--nodes=1,2", "--values=1,1e400")),
+], ids=["past-a-double", "distinct-past-a-double", "past-the-double-range"])
+def test_json_numbers_are_read_as_written(tmp_path, capsys, command, text, flags):
+    path = tmp_path / "problem.json"
+    path.write_text(text, encoding="utf-8")
+    from_file = run_cli(capsys, command, "--json", str(path))
+    assert from_file == run_cli(capsys, command, *flags)
+    assert from_file[0] == 0
+
+
+def test_json_n_with_a_fraction_part_is_exit_one(tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text('{"nodes": [1, 2], "n": 4.0}', encoding="utf-8")
+    code, out, err = run_cli(capsys, "kernel", "--json", str(path))
+    assert (code, out) == (1, "")
+    assert err == f'error: "n" in {path} must be an integer\n'
 
 
 def test_csv_invalid_utf8_is_exit_one(tmp_path, capsys):
@@ -682,6 +726,11 @@ def _space_with_wrong_coefficient(nodes, q, n):
     return replace(space, particular=_bump_first(space.particular))
 
 
+def _space_with_short_solution(nodes, q, n):
+    space = solve_general(nodes, q, n)
+    return replace(space, particular=space.particular[:-1])  # a trailing zero dropped
+
+
 def _space_with_repeated_vector(nodes, q, n):
     space = solve_general(nodes, q, n)
     return replace(space, basis=_repeat_first(space.basis))
@@ -698,23 +747,22 @@ def _plus_root_product(nodes, q):
     return Polynomial(tuple(c + r for c, r in zip(coeffs, root_product)))
 
 
-# The tampering acts on the stored integer rows; cli reads sigma and the
-# deflated rows derived from them.
+# The tampering acts on the integer rows; cli prints sigma and the
+# deflated rows divided out of them.
 def _sigma_with_wrong_entry(nodes):
-    table = compute_sigma(nodes)
-    return replace(table, coeffs=table.coeffs[:2] + (table.coeffs[2] + 1,) + table.coeffs[3:])
+    coeffs = compute_sigma(nodes)
+    return coeffs[:2] + (coeffs[2] + 1,) + coeffs[3:]
 
 
 def _sigma_with_extra_coefficient(nodes):
-    table = compute_sigma(nodes)
-    return replace(table, coeffs=table.coeffs + (1,))
+    return compute_sigma(nodes) + (1,)
 
 
 def _deflated_with(change):
-    def fake(table):
-        rows = list(deflate_all(table).rows)
+    def fake(nodes, coeffs):
+        rows = list(deflate_all(nodes, coeffs))
         rows[1] = change(rows[1])
-        return replace(table, rows=tuple(rows))
+        return tuple(rows)
     return fake
 
 
@@ -732,6 +780,7 @@ KERNEL = ("kernel", "--nodes", "1,2", "--n", "5")
      _plus_root_product, "coefficients disagree with the elimination oracle"),
     (WIDE, "solve_general", _space_with_wrong_coefficient,
      "solution misses its value at node 0"),
+    (WIDE, "solve_general", _space_with_short_solution, "solution has 3 entries, not 4"),
     (WIDE, "solve_general", _space_with_repeated_vector,
      "kernel vector 1 breaks the echelon pattern"),
     (KERNEL, "kernel_basis", lambda nodes, n: _repeat_first(kernel_basis(nodes, n)),
@@ -747,12 +796,12 @@ KERNEL = ("kernel", "--nodes", "1,2", "--n", "5")
      "deflated row 1 times (x - -2) misses sigma(2)"),
     (DEFLATED, "deflate_all", _deflated_with(lambda row: row + (0,)),
      "deflated row 1 has 5 entries, not 4"),
-    (DEFLATED, "deflate_all", lambda table: replace(
-        table, rows=deflate_all(table).rows[:-1]), "3 deflated rows for 4 nodes"),
+    (DEFLATED, "deflate_all", lambda nodes, coeffs: deflate_all(nodes, coeffs)[:-1],
+     "3 deflated rows for 4 nodes"),
 ], ids=["interpolate-coefficient", "interpolate-root-product", "solve-coefficient",
-        "solve-repeated-vector", "kernel-repeated-vector", "kernel-missing-vector",
-        "sigma-entry", "sigma-extra-entry", "deflated-entry", "deflated-row-length",
-        "deflated-missing-row"])
+        "solve-short-solution", "solve-repeated-vector", "kernel-repeated-vector",
+        "kernel-missing-vector", "sigma-entry", "sigma-extra-entry", "deflated-entry",
+        "deflated-row-length", "deflated-missing-row"])
 def test_verify_catches_tampered_results(capsys, monkeypatch, argv, target, fake, detail):
     monkeypatch.setattr(cli, target, fake)
     assert run_cli(capsys, *argv)[0] == 0  # the tampered result still renders

@@ -1,13 +1,15 @@
 """The package surface: `__all__` names every public name, and each one is bound;
-the elimination oracle imports nothing of the code it checks."""
+the package's sigma record divides out the int rows of `symfuncs`; the
+elimination oracle imports nothing of the code it checks."""
 
 import ast
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import vandersolve
-from vandersolve import oracle
+from vandersolve import oracle, symfuncs
 
 
 def test_star_import_binds_exactly_all():
@@ -18,6 +20,15 @@ def test_star_import_binds_exactly_all():
     public = {name for name, value in vars(vandersolve).items()
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == set(vandersolve.__all__)
+
+
+def test_package_sigma_record_holds_the_divided_rows():
+    nodes = vandersolve.NodeSet((Fraction(1, 2), Fraction(-2, 3), 5, Fraction(7, 4)))
+    table = vandersolve.deflate_all(vandersolve.compute_sigma(nodes))
+    assert table.coeffs == symfuncs.compute_sigma(nodes)
+    assert table.sigma == tuple(map(Fraction, ("1", "79/12", "175/24", "-89/24", "-35/12")))
+    assert len(table.deflated) == 4
+    assert table.deflated[2] == tuple(map(Fraction, ("1", "19/12", "-5/8", "-7/12")))
 
 
 def test_oracle_imports_only_the_standard_library_and_field():

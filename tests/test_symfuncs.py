@@ -1,4 +1,4 @@
-"""Sigma tables: triangular pass, deflation, root expansion, step counts."""
+"""Sigma rows: triangular pass, deflation, root expansion, step counts."""
 
 from fractions import Fraction
 
@@ -14,6 +14,7 @@ from vandersolve.symfuncs import (
     NodeSet,
     compute_sigma,
     deflate_all,
+    normalized,
     poly_from_roots,
 )
 
@@ -22,6 +23,14 @@ F = Fraction
 
 def make_nodes(*xs) -> NodeSet:
     return NodeSet(tuple(F(x) for x in xs))
+
+
+def sigma(ns: NodeSet) -> tuple:
+    return normalized(compute_sigma(ns))
+
+
+def deflated(ns: NodeSet) -> tuple:
+    return tuple(map(normalized, deflate_all(ns, compute_sigma(ns))))
 
 
 # --- NodeSet -----------------------------------------------------------------
@@ -47,92 +56,85 @@ def test_order_is_preserved():
 
 
 def test_sigma_of_one_two_three():
-    assert compute_sigma(make_nodes(1, 2, 3)).sigma == (1, 6, 11, 6)
+    assert sigma(make_nodes(1, 2, 3)) == (1, 6, 11, 6)
 
 
 @given(small_fractions)
 def test_sigma_of_single_node(a):
-    assert compute_sigma(NodeSet((a,))).sigma == (1, a)
+    assert sigma(NodeSet((a,))) == (1, a)
 
 
 @given(node_sets(min_size=3, max_size=3))
 def test_sigma_three_node_formulas(ns):
     a, b, c = ns.nodes
-    assert compute_sigma(ns).sigma == (1, a + b + c, a * b + a * c + b * c, a * b * c)
+    assert sigma(ns) == (1, a + b + c, a * b + a * c + b * c, a * b * c)
 
 
 @given(node_sets(max_size=8))
 def test_sigma_matches_subset_enumeration(ns):
-    table = compute_sigma(ns)
+    row = sigma(ns)
     for t in range(len(ns) + 1):
-        assert table.sigma[t] == sigma_bruteforce(ns, t)
+        assert row[t] == sigma_bruteforce(ns, t)
 
 
 @given(node_sets(max_size=7), st.data())
 def test_sigma_is_permutation_invariant(ns, data):
     shuffled = data.draw(st.permutations(list(ns.nodes)))
-    assert compute_sigma(NodeSet(tuple(shuffled))).sigma == compute_sigma(ns).sigma
+    assert sigma(NodeSet(tuple(shuffled))) == sigma(ns)
 
 
 # --- deflate_all -------------------------------------------------------------
 
 
 def test_deflate_first_node():
-    table = deflate_all(compute_sigma(make_nodes(1, 2, 3)))
-    assert table.deflated[0] == (1, 5, 6)
+    assert deflated(make_nodes(1, 2, 3))[0] == (1, 5, 6)
 
 
 def test_deflate_single_node_row():
-    table = deflate_all(compute_sigma(make_nodes(7)))
-    assert table.deflated[0] == (1,)
+    assert deflated(make_nodes(7))[0] == (1,)
 
 
 @given(node_sets(min_size=3, max_size=3))
 def test_deflate_three_node_formulas(ns):
     a, b, c = ns.nodes
-    table = deflate_all(compute_sigma(ns))
-    assert table.deflated[0] == (1, b + c, b * c)
+    assert deflated(ns)[0] == (1, b + c, b * c)
 
 
 @given(node_sets(min_size=2, max_size=8), st.data())
 def test_deflation_equals_recomputation_without_node(ns, data):
     i = data.draw(st.integers(min_value=0, max_value=len(ns) - 1))
-    table = deflate_all(compute_sigma(ns))
     rest = NodeSet(ns.nodes[:i] + ns.nodes[i + 1:])
-    assert table.deflated[i] == compute_sigma(rest).sigma
+    assert deflated(ns)[i] == sigma(rest)
 
 
 @given(node_sets(max_size=8))
 def test_deflation_recurrence_identity(ns):
     # sigma(t) = deflated(i, t) + a_i * deflated(i, t - 1), deflated zero outside 0..p-1
-    table = deflate_all(compute_sigma(ns))
+    full, rows = sigma(ns), deflated(ns)
     for i, a in enumerate(ns):
-        padded = (0, *table.deflated[i], 0)
+        padded = (0, *rows[i], 0)
         for t in range(len(ns) + 1):
-            assert table.sigma[t] == padded[t + 1] + a * padded[t]
+            assert full[t] == padded[t + 1] + a * padded[t]
 
 
 def test_deflate_all_two_nodes():
-    table = deflate_all(compute_sigma(make_nodes(1, 2)))
-    assert table.deflated == ((1, 2), (1, 1))
+    assert deflated(make_nodes(1, 2)) == ((1, 2), (1, 1))
 
 
 def test_deflate_all_single_node():
-    assert deflate_all(compute_sigma(make_nodes(4))).deflated == ((1,),)
+    assert deflated(make_nodes(4)) == ((1,),)
 
 
 @given(node_sets(min_size=3, max_size=3))
 def test_deflate_all_three_node_grid(ns):
     a, b, c = ns.nodes
-    table = deflate_all(compute_sigma(ns))
-    assert table.deflated == ((1, b + c, b * c), (1, a + c, a * c), (1, a + b, a * b))
+    assert deflated(ns) == ((1, b + c, b * c), (1, a + c, a * c), (1, a + b, a * b))
 
 
 @given(node_sets(max_size=8))
 def test_leading_entries_are_one(ns):
-    table = deflate_all(compute_sigma(ns))
-    assert table.sigma[0] == 1
-    assert all(row[0] == 1 for row in table.deflated)
+    assert sigma(ns)[0] == 1
+    assert all(row[0] == 1 for row in deflated(ns))
 
 
 # --- poly_from_roots / root identity -----------------------------------------
@@ -183,8 +185,8 @@ def test_triangular_pass_multiply_add_count(p):
 def test_deflation_work_is_quadratic_total(p):
     ops = OpCounter()
     ns = NodeSet(tuple(counting([1.0 + i for i in range(p)], ops)))
-    table = compute_sigma(ns)
+    coeffs = compute_sigma(ns)
     muls0, subs0 = ops.muls, ops.subs
-    deflate_all(table)
+    deflate_all(ns, coeffs)
     assert ops.muls - muls0 == p * (p - 1)
     assert ops.subs - subs0 == p * (p - 1)

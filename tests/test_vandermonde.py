@@ -29,7 +29,7 @@ from vandersolve.oracle import (
     solve_by_elimination,
 )
 from vandersolve.poly import Polynomial
-from vandersolve.symfuncs import NodeSet, compute_sigma, deflate_all, poly_from_roots
+from vandersolve.symfuncs import NodeSet, compute_sigma, deflate_all, normalized, poly_from_roots
 from vandersolve.vandermonde import (
     DenseMatrix,
     DimensionMismatchError,
@@ -127,9 +127,9 @@ def test_inverse_columns_are_lagrange_basis(ns):
 def test_denominator_product_equals_signed_power_sum(ns):
     # the direct product route and the deflated-coefficient route agree
     n = len(ns)
-    table = deflate_all(compute_sigma(ns))
+    rows = deflate_all(ns, compute_sigma(ns))
     for j, a_j in enumerate(ns):
-        row = table.deflated[j]
+        row = normalized(rows[j])
         numerator = Polynomial(tuple(
             row[n - 1 - i] if (n - 1 - i) % 2 == 0 else -row[n - 1 - i]
             for i in range(n)))
@@ -270,10 +270,11 @@ _mixed_systems = _mixed_nodes.flatmap(lambda xs: st.tuples(
 
 def _generic_table(nodes):
     """Sigma and deflated rows from the generic path on CountingNumber-wrapped Fractions."""
-    table = deflate_all(compute_sigma(NodeSet(tuple(counting([F(a) for a in nodes],
-                                                             OpCounter())))))
-    return (tuple(getattr(x, "value", x) for x in table.sigma),
-            tuple(tuple(getattr(x, "value", x) for x in row) for row in table.deflated))
+    ns = NodeSet(tuple(counting([F(a) for a in nodes], OpCounter())))
+    coeffs = compute_sigma(ns)
+    return (tuple(getattr(x, "value", x) for x in normalized(coeffs)),
+            tuple(tuple(getattr(x, "value", x) for x in normalized(row))
+                  for row in deflate_all(ns, coeffs)))
 
 
 @given(_mixed_systems)
@@ -298,20 +299,22 @@ def test_per_node_denominators_match_oracles_bit_for_bit(system):
     assert poly_from_roots(ns).coeffs == want
     assert kernel_basis(ns, p + 2).vectors == (want + (0,), (0,) + want)
 
-    table = deflate_all(compute_sigma(ns))
-    assert (table.sigma, table.deflated) == _generic_table(nodes)
+    coeffs = compute_sigma(ns)
+    sigma, deflated = normalized(coeffs), tuple(map(normalized, deflate_all(ns, coeffs)))
+    assert (sigma, deflated) == _generic_table(nodes)
     if all(F(a).denominator == 1 for a in nodes):
-        assert all(type(x) is int for x in table.sigma + sum(table.deflated, ()))
+        assert all(type(x) is int for x in sigma + sum(deflated, ()))
 
 
 @given(_mixed_nodes)
 def test_stored_integer_rows_stay_below_the_homogeneous_bound(nodes):
     # every coefficient of a product of factors d x + n is at most prod(|n| + d)
-    table = deflate_all(compute_sigma(NodeSet(tuple(nodes))))
+    ns = NodeSet(tuple(nodes))
+    coeffs = compute_sigma(ns)
     bound = 1
     for a in nodes:
         bound *= abs(F(a).numerator) + F(a).denominator
-    stored = table.coeffs + sum(table.rows, ())
+    stored = coeffs + sum(deflate_all(ns, coeffs), ())
     assert all(type(x) is int and abs(x) <= bound for x in stored)
 
 
