@@ -17,12 +17,10 @@ from .field import (
 )
 from .kernel import (
     AffineSolutionSpace,
+    InconsistentSystemError,
     KernelBasis,
-    OverdeterminedInputError,
-    OverdeterminedResult,
     kernel_basis,
     solve_general,
-    solve_overdetermined,
 )
 from .poly import Polynomial
 from .symfuncs import (
@@ -47,11 +45,10 @@ __all__ = [
     "DenseMatrix",
     "DimensionMismatchError",
     "DuplicateNodeError",
+    "InconsistentSystemError",
     "KernelBasis",
     "NodeSet",
     "OpCounter",
-    "OverdeterminedInputError",
-    "OverdeterminedResult",
     "Polynomial",
     "ScalarParseError",
     "compute_sigma",
@@ -64,7 +61,6 @@ __all__ = [
     "parse_scalar",
     "poly_from_roots",
     "solve_general",
-    "solve_overdetermined",
     "solve_square",
 ]
 

@@ -11,11 +11,15 @@ rendered once, at output: as exact "p" or "p/q" strings, or under
 
 --verify checks the exact payload, the very values that get rendered,
 before rendering: it re-evaluates every solution at every node, proves a
-kernel basis independent by its echelon of trailing ones, cross-checks
-`interpolate` against exact Gaussian elimination, and checks `sigma` and
-its deflated rows by a quadratic certificate (the signed sigma row is a
-monic polynomial vanishing at every node, and each deflated row times
-x - a_i gives it back), with no limit on the node count.
+kernel basis independent by its echelon of trailing ones, counts a
+reported dimension or degree again from the vectors or coefficients,
+cross-checks `interpolate` against exact Gaussian elimination, and
+checks `sigma` and its deflated rows by a quadratic certificate (the
+signed sigma row is a monic polynomial vanishing at every node, and each
+deflated row times x - a_i gives it back), with no limit on the node
+count.  A `solve` verdict of inconsistency (exit 3) is checked too: the
+unique fit of the first n equations must first miss the equation it
+names, by the value it names.
 
 One size budget, MAX_ENTRIES, bounds what a run may build: `solve` and
 `kernel` refuse an n whose result would hold more entries, and `bench` a
@@ -27,8 +31,8 @@ Exit codes: 0 success, 1 usage or parse error, missing input, unwritable
 --out or stdout closed early, 2 invalid problem (duplicate nodes,
 dimension mismatch, n < 1, an n or a bench size past the size budget,
 a --reps past MAX_REPS, a --float result too large for a double),
-3 inconsistent overdetermined system, 4 --verify mismatch, which would
-mean a bug with or without --float.
+3 inconsistent tall system (p > n and no solution), 4 --verify
+mismatch, which would mean a bug with or without --float.
 """
 
 import argparse
@@ -43,7 +47,7 @@ from dataclasses import dataclass
 
 from . import oracle
 from .field import ScalarParseError, exact_str, parse_scalar
-from .kernel import kernel_basis, solve_general, solve_overdetermined
+from .kernel import InconsistentSystemError, kernel_basis, solve_general
 from .poly import Polynomial, first_miss
 from .symfuncs import NodeSet, compute_sigma, deflate_all, normalized
 from .vandermonde import interpolate
@@ -299,6 +303,8 @@ def _verify_basis(problem: Problem, payload: dict):
     p = len(nodes)
     if len(vectors) != max(n - p, 0):
         _verify_fail("wrong kernel dimension")
+    if payload.get("dimension", len(vectors)) != len(vectors):  # kernel reports it
+        _verify_fail("dimension does not count the kernel vectors")
     zeros = [0] * p
     for k, vec in enumerate(vectors):
         if len(vec) != n or vec[p + k] != 1 or any(x != 0 for x in vec[p + k + 1:]):
@@ -308,6 +314,8 @@ def _verify_basis(problem: Problem, payload: dict):
 
 def _verify_solution(problem: Problem, payload: dict):
     """solve: the particular solution has n entries and takes every value; its basis passes."""
+    if "inconsistent_at" in payload:
+        return _verify_verdict(problem, payload)
     particular = payload["particular"]
     if len(particular) != problem.n:
         _verify_fail(f"solution has {len(particular)} entries, not {problem.n}")
@@ -315,10 +323,33 @@ def _verify_solution(problem: Problem, payload: dict):
     _verify_basis(problem, payload)
 
 
+def _verify_verdict(problem: Problem, payload: dict):
+    """solve, exit 3: the fit of the first n equations first misses equation `inconsistent_at`.
+
+    The fit has at most n coefficients and takes its value at the first n
+    nodes, so it is the unique polynomial of degree below n through them:
+    the only candidate solution.  The verdict must name the first
+    equation it misses, the value it takes there and the value asked for.
+    """
+    nodes, values, n = problem.nodes, problem.values, problem.n
+    head = NodeSet(nodes.nodes[:n])
+    fit = interpolate(head, values[:n])
+    if len(fit.coeffs) > n:
+        _verify_fail(f"the fit of the first {n} equations has more than {n} coefficients")
+    _verify_residual(fit, head, values[:n], "the fit of the first equations")
+    row = payload["inconsistent_at"]
+    if first_miss(fit, nodes, values, start=n) != (row, payload["lhs"]) \
+            or payload["rhs"] != values[row]:
+        _verify_fail("the verdict is not the first equation the fit misses")
+
+
 def _verify_interpolation(problem: Problem, payload: dict):
-    """interpolate: every residual vanishes, and exact elimination gives the same coefficients."""
+    """interpolate: the degree, every residual, and the coefficients of exact elimination."""
     nodes, values, coeffs = problem.nodes, problem.values, payload["coefficients"]
-    _verify_residual(Polynomial(coeffs), nodes, values, "interpolant")
+    poly = Polynomial(coeffs)
+    if payload["degree"] != poly.degree:
+        _verify_fail("degree is not the index of the last nonzero coefficient")
+    _verify_residual(poly, nodes, values, "interpolant")
     padded = list(coeffs) + [0] * (len(nodes) - len(coeffs))
     if padded != oracle.solve_by_elimination(nodes, values):
         _verify_fail("coefficients disagree with the elimination oracle")
@@ -380,17 +411,11 @@ def cmd_interpolate(problem: Problem, args) -> tuple:
 
 
 def cmd_solve(problem: Problem, args) -> tuple:
-    nodes, values, n = problem.nodes, problem.values, problem.n
-    if len(nodes) > n:
-        result = solve_overdetermined(nodes, values, n)
-        if not result.consistent:
-            return ({"inconsistent_at": result.inconsistent_at, "lhs": result.lhs,
-                     "rhs": result.rhs}, EXIT_INCONSISTENT)
-        particular, vectors = result.solution, ()
-    else:
-        space = solve_general(nodes, values, n)
-        particular, vectors = space.particular, space.basis.vectors
-    return {"particular": particular, "kernel_basis": vectors}, EXIT_OK
+    try:
+        space = solve_general(problem.nodes, problem.values, problem.n)
+    except InconsistentSystemError as err:
+        return {"inconsistent_at": err.row, "lhs": err.lhs, "rhs": err.rhs}, EXIT_INCONSISTENT
+    return {"particular": space.particular, "kernel_basis": space.basis.vectors}, EXIT_OK
 
 
 def cmd_kernel(problem: Problem, args) -> tuple:
@@ -546,7 +571,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         problem = args.parse(args)
         payload, code = args.solve(problem, args)
-        if getattr(args, "verify", False) and code == EXIT_OK:  # bench has no --verify
+        if getattr(args, "verify", False):  # bench has no --verify
             args.check(problem, payload)
             payload["verified"] = True
         _emit(payload, args)

@@ -3,7 +3,7 @@
 The library solves over `fractions.Fraction` values: arbitrary-precision,
 always in lowest terms, so overflow is impossible and equality is
 decidable.  `exact_scalar` is the one gate, run where nodes enter a
-`NodeSet` and values enter `solve_square` or `solve_overdetermined`:
+`NodeSet` and values enter `solve_square` or `solve_general`:
 ints and Fractions pass, other integers (numpy's, bool) become ints, and
 every other type (float, `Decimal`, str) raises TypeError, since only
 the caller knows whether 0.1 means its binary value or 1/10.

@@ -1,11 +1,12 @@
-"""Null spaces of wide Vandermonde matrices and full solution sets.
+"""Solution sets of p x n Vandermonde systems, for any p and n.
 
 For p nodes and n >= p unknowns the null space has dimension n - p and is
 spanned by cyclic shifts of one signed-sigma vector; the complete solution
 set of the p x n system is one particular solution (square solve on the
-first p coefficients, zero-padded) plus that span.  Overdetermined systems
-(p > n) get a separate solve-then-verify treatment whose failure is a
-reported value, not an exception.
+first p coefficients, zero-padded) plus that span.  For p > n the kernel
+is trivial: the square solve on the first n nodes is the only candidate,
+and each remaining equation is checked exactly.  A system that misses one
+has no solution and raises InconsistentSystemError.
 """
 
 from dataclasses import dataclass
@@ -16,8 +17,16 @@ from .symfuncs import NodeSet, poly_from_roots
 from .vandermonde import DimensionMismatchError, solve_square
 
 
-class OverdeterminedInputError(ValueError):
-    """p > n leaves no kernel to describe; use solve_overdetermined."""
+class InconsistentSystemError(ValueError):
+    """A tall system with no solution: equation `row` is the first one missed.
+
+    `lhs` is the value there of the unique solution of the first n
+    equations, and `rhs` the value the system asks for.
+    """
+
+    def __init__(self, row: int, lhs, rhs):
+        super().__init__(f"the system has no solution: equation {row} is missed")
+        self.row, self.lhs, self.rhs = row, lhs, rhs
 
 
 @dataclass(frozen=True)
@@ -52,13 +61,11 @@ def kernel_basis(nodes: NodeSet, n: int) -> KernelBasis:
     The first vector holds the coefficients of the monic root product
     prod (x - a_i), position t being (-1)^(p-t) sigma(p-t) for t = 0..p
     (ending in 1), the rest is zero; later vectors shift the block right
-    one slot.  Empty when p == n.
+    one slot.  Empty when p >= n: the kernel is trivial.
     """
     p = len(nodes)
-    if p > n:
-        raise OverdeterminedInputError(
-            f"matrix with {p} rows and {n} columns has a trivial kernel; "
-            "use solve_overdetermined")
+    if p >= n:
+        return KernelBasis(n=n, p=p, vectors=())
     head = poly_from_roots(nodes).coeffs
     vectors = tuple(
         (0,) * k + head + (0,) * (n - p - 1 - k) for k in range(n - p))
@@ -66,55 +73,21 @@ def kernel_basis(nodes: NodeSet, n: int) -> KernelBasis:
 
 
 def solve_general(nodes: NodeSet, q, n: int) -> AffineSolutionSpace:
-    """All solutions of the p-equation, n-unknown system (p <= n).
+    """All solutions of the p-equation, n-unknown system, for any p and n.
 
-    The particular solution solves the square system on the first p
-    coefficient positions and is padded with n - p zeros.
+    Each value passes `field.exact_scalar`.  The particular solution
+    solves the square system on the first min(p, n) nodes; for p < n it
+    is padded with n - p zeros, and for p > n every remaining equation
+    is compared exactly, the first one missed raising
+    InconsistentSystemError.
     """
     p = len(nodes)
     if len(q) != p:
         raise DimensionMismatchError(f"{p} nodes but {len(q)} values")
-    basis = kernel_basis(nodes, n)  # rejects p > n with the routing error
-    particular = tuple(solve_square(nodes, list(q))) + (0,) * (n - p)
-    return AffineSolutionSpace(particular=particular, basis=basis)
-
-
-@dataclass(frozen=True)
-class OverdeterminedResult:
-    """Unique solution when consistent, else the first violated equation.
-
-    `inconsistent_at` is the 0-based equation index; `lhs` is the value the
-    candidate solution produces there and `rhs` the value the system asks
-    for.
-    """
-
-    solution: tuple | None
-    inconsistent_at: int | None = None
-    lhs: object = None
-    rhs: object = None
-
-    @property
-    def consistent(self) -> bool:
-        return self.solution is not None
-
-
-def solve_overdetermined(nodes: NodeSet, q, n: int) -> OverdeterminedResult:
-    """Solve on the first n nodes, then check the remaining equations.
-
-    Each value passes `field.exact_scalar`, and the remaining equations
-    are compared exactly.  Inconsistency comes back as a value, never as
-    an exception.
-    """
-    p = len(nodes)
-    if len(q) != p:
-        raise DimensionMismatchError(f"{p} nodes but {len(q)} values")
-    if p <= n:
-        raise ValueError("system is not overdetermined; use solve_general")
     q = [exact_scalar(x) for x in q]
-    head = NodeSet(nodes.nodes[:n])
-    w = solve_square(head, q[:n])
-    miss = first_miss(Polynomial(tuple(w)), nodes, q, start=n)
+    m = min(p, n)
+    w = tuple(solve_square(nodes if p <= n else NodeSet(nodes.nodes[:n]), q[:m]))
+    miss = first_miss(Polynomial(w), nodes, q, start=m)
     if miss is not None:
-        r, lhs = miss
-        return OverdeterminedResult(None, inconsistent_at=r, lhs=lhs, rhs=q[r])
-    return OverdeterminedResult(tuple(w))
+        raise InconsistentSystemError(*miss, q[miss[0]])
+    return AffineSolutionSpace(particular=w + (0,) * (n - m), basis=kernel_basis(nodes, n))

@@ -11,6 +11,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import hypothesis.strategies as st
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 
 from vandersolve import cli
 from vandersolve.cli import main
-from vandersolve.kernel import KernelBasis, kernel_basis, solve_general
+from vandersolve.kernel import InconsistentSystemError, KernelBasis, kernel_basis, solve_general
 from vandersolve.poly import Polynomial
 from vandersolve.symfuncs import NodeSet, compute_sigma, deflate_all
 from vandersolve.vandermonde import interpolate
@@ -787,6 +788,12 @@ KERNEL = ("kernel", "--nodes", "1,2", "--n", "5")
      "kernel vector 1 breaks the echelon pattern"),
     (KERNEL, "kernel_basis", lambda nodes, n: _drop_last(kernel_basis(nodes, n)),
      "wrong kernel dimension"),
+    (("interpolate", "--nodes", "1,2", "--values", "2,3"), "interpolate",
+     lambda nodes, q: SimpleNamespace(coeffs=interpolate(nodes, q).coeffs, degree=6),
+     "degree is not the index of the last nonzero coefficient"),
+    (("kernel", "--nodes", "1", "--n", "3"), "kernel_basis",
+     lambda nodes, n: SimpleNamespace(vectors=kernel_basis(nodes, n).vectors, dimension=7),
+     "dimension does not count the kernel vectors"),
     (SIGMA, "compute_sigma", _sigma_with_wrong_entry,
      "sigma polynomial misses its value at node 1"),
     (SIGMA, "compute_sigma", _sigma_with_extra_coefficient,
@@ -800,11 +807,49 @@ KERNEL = ("kernel", "--nodes", "1,2", "--n", "5")
      "3 deflated rows for 4 nodes"),
 ], ids=["interpolate-coefficient", "interpolate-root-product", "solve-coefficient",
         "solve-short-solution", "solve-repeated-vector", "kernel-repeated-vector",
-        "kernel-missing-vector", "sigma-entry", "sigma-extra-entry", "deflated-entry",
-        "deflated-row-length", "deflated-missing-row"])
+        "kernel-missing-vector", "interpolate-degree", "kernel-dimension", "sigma-entry",
+        "sigma-extra-entry", "deflated-entry", "deflated-row-length", "deflated-missing-row"])
 def test_verify_catches_tampered_results(capsys, monkeypatch, argv, target, fake, detail):
     monkeypatch.setattr(cli, target, fake)
     assert run_cli(capsys, *argv)[0] == 0  # the tampered result still renders
+    code, out, err = run_cli(capsys, *argv, "--verify")
+    assert (code, out) == (4, "")
+    assert err == f"error: verification failed: {detail}\n"
+
+
+def test_verify_marks_a_checked_inconsistent_verdict(capsys):
+    code, out, err = run_cli(capsys, "solve", "--nodes=0,1,2", "--values=1,2,4", "--n=2",
+                             "--verify")
+    assert (code, err) == (3, "")
+    assert out == '{"inconsistent_at":2,"lhs":"3","rhs":"4","verified":true}\n'
+
+
+def _verdict(row, lhs, rhs):
+    def fake(nodes, q, n):
+        raise InconsistentSystemError(row, lhs, rhs)
+    return fake
+
+
+TALL = ("solve", "--nodes=0,1,2,3", "--values=1,2,4,8", "--n=2")  # fit 1 + x misses 4 and 8
+VERDICT = "the verdict is not the first equation the fit misses"
+
+
+@pytest.mark.parametrize("argv,target,fake,detail", [
+    (("solve", "--nodes=0,1,2", "--values=1,2,3", "--n", "2"), "solve_general",
+     _verdict(2, 4, 3), VERDICT),
+    (TALL, "solve_general", _verdict(3, 4, 8), VERDICT),
+    (TALL, "solve_general", _verdict(2, 5, 4), VERDICT),
+    (TALL, "solve_general", _verdict(2, 3, 5), VERDICT),
+    (TALL, "solve_general", _verdict(4, 5, 9), VERDICT),
+    (TALL, "interpolate", lambda nodes, q: Polynomial(_bump_first(interpolate(nodes, q).coeffs)),
+     "the fit of the first equations misses its value at node 0"),
+    (TALL, "interpolate", _plus_root_product,
+     "the fit of the first 2 equations has more than 2 coefficients"),
+], ids=["consistent-system", "later-row", "wrong-lhs", "wrong-rhs", "row-past-the-end",
+        "fit-misses-a-head-value", "fit-of-too-high-degree"])
+def test_verify_checks_an_inconsistent_verdict(capsys, monkeypatch, argv, target, fake, detail):
+    monkeypatch.setattr(cli, target, fake)
+    assert run_cli(capsys, *argv)[0] == 3  # the verdict still renders
     code, out, err = run_cli(capsys, *argv, "--verify")
     assert (code, out) == (4, "")
     assert err == f"error: verification failed: {detail}\n"

@@ -1,4 +1,4 @@
-"""Wide systems: kernel bases, affine solution spaces, tall solve-and-check."""
+"""p x n systems of every shape: kernel bases, affine solution spaces, tall solve-and-check."""
 
 from fractions import Fraction
 
@@ -7,13 +7,9 @@ import pytest
 from hypothesis import given
 
 from helpers import affine_member, mat_vec, node_sets, small_fractions, vandermonde_rows
+from vandersolve import kernel
 from vandersolve.field import OpCounter, counting
-from vandersolve.kernel import (
-    OverdeterminedInputError,
-    kernel_basis,
-    solve_general,
-    solve_overdetermined,
-)
+from vandersolve.kernel import InconsistentSystemError, kernel_basis, solve_general
 from vandersolve.oracle import gaussian_rank, sigma_bruteforce
 from vandersolve.symfuncs import NodeSet
 from vandersolve.vandermonde import DimensionMismatchError
@@ -70,9 +66,10 @@ def test_counted_nodes_give_the_exact_root_product(case):
         [list(v) for v in exact.vectors]
 
 
-def test_p_greater_than_n_is_routed_away():
-    with pytest.raises(OverdeterminedInputError, match="solve_overdetermined"):
-        kernel_basis(make_nodes(1, 2, 3), 2)
+def test_p_at_least_n_gives_the_empty_basis():
+    for n in (1, 2, 3):
+        basis = kernel_basis(make_nodes(1, 2, 3), n)
+        assert (basis.n, basis.p, basis.vectors, basis.dimension) == (n, 3, (), 0)
 
 
 @given(wide_cases)
@@ -143,11 +140,17 @@ def test_two_equations_four_unknowns():
         assert mat_vec(matrix, vec) == [0, 0]
 
 
+def test_square_and_tall_solves_build_no_root_product(monkeypatch):
+    def fail(nodes):
+        raise AssertionError("the kernel is trivial: no root product is needed")
+    monkeypatch.setattr(kernel, "poly_from_roots", fail)
+    assert solve_general(make_nodes(0, 1), values(1, 2), 2).particular == (1, 1)
+    assert solve_general(make_nodes(0, 1, 2), values(1, 2, 3), 2).particular == (1, 1)
+
+
 def test_solve_general_rejects_bad_shapes():
     with pytest.raises(DimensionMismatchError):
         solve_general(make_nodes(1, 2), values(1), 3)
-    with pytest.raises(OverdeterminedInputError):
-        solve_general(make_nodes(1, 2, 3), values(1, 2, 3), 2)
 
 
 @given(wide_cases, st.data())
@@ -207,41 +210,55 @@ def test_small_scale_completeness():
     assert hits > 10
 
 
-# --- solve_overdetermined ------------------------------------------------------------
+# --- tall systems (p > n): solve on the first n nodes, check the rest ----------------
 
 
 def test_collinear_points_are_consistent():
-    result = solve_overdetermined(make_nodes(0, 1, 2), values(1, 2, 3), 2)
-    assert result.consistent
-    assert result.solution == (1, 1)
+    space = solve_general(make_nodes(0, 1, 2), values(1, 2, 3), 2)
+    assert space.particular == (1, 1)
+    assert space.basis.vectors == ()
 
 
 def test_non_collinear_points_report_the_equation():
-    result = solve_overdetermined(make_nodes(0, 1, 2), values(1, 2, 4), 2)
-    assert not result.consistent
-    assert result.inconsistent_at == 2
-    assert result.lhs == 3 and result.rhs == 4
-    assert result.solution is None
+    with pytest.raises(InconsistentSystemError, match="equation 2") as info:
+        solve_general(make_nodes(0, 1, 2), values(1, 2, 4), 2)
+    assert info.value.row == 2
+    assert info.value.lhs == 3 and info.value.rhs == 4
 
 
 def test_square_values_through_four_nodes():
     nodes = make_nodes(1, 2, 3, 4)
     q = [a * a for a in nodes]
-    result = solve_overdetermined(nodes, q, 3)
-    assert result.consistent
-    assert result.solution == (0, 0, 1)
+    space = solve_general(nodes, q, 3)
+    assert space.particular == (0, 0, 1)
+    assert space.basis.vectors == ()
 
 
 def test_float_value_in_the_checked_tail_raises_type_error():
     with pytest.raises(TypeError, match="Fraction"):
-        solve_overdetermined(make_nodes(0, 1, 2), [F(1), F(2), 3.0], 2)
-
-
-def test_overdetermined_needs_more_equations_than_unknowns():
-    with pytest.raises(ValueError, match="solve_general"):
-        solve_overdetermined(make_nodes(1, 2), values(1, 2), 2)
+        solve_general(make_nodes(0, 1, 2), [F(1), F(2), 3.0], 2)
 
 
 def test_overdetermined_checks_value_count():
     with pytest.raises(DimensionMismatchError):
-        solve_overdetermined(make_nodes(1, 2, 3), values(1, 2), 2)
+        solve_general(make_nodes(1, 2, 3), values(1, 2), 2)
+
+
+tall_cases = node_sets(min_size=2, max_size=8).flatmap(
+    lambda ns: st.tuples(st.just(ns), st.integers(min_value=1, max_value=len(ns) - 1)))
+
+
+@given(tall_cases, st.data())
+def test_tall_system_returns_its_polynomial_or_the_first_missed_row(case, data):
+    ns, n = case
+    coeffs = data.draw(st.lists(small_fractions, min_size=n, max_size=n))
+    q = [sum(c * a**k for k, c in enumerate(coeffs)) for a in ns]
+    space = solve_general(ns, q, n)
+    assert space.particular == tuple(coeffs)
+    assert space.basis.vectors == ()
+    r = data.draw(st.integers(min_value=n, max_value=len(ns) - 1))
+    q[r] += data.draw(small_fractions.filter(bool))
+    with pytest.raises(InconsistentSystemError) as info:
+        solve_general(ns, q, n)
+    assert (info.value.row, info.value.rhs) == (r, q[r])
+    assert info.value.lhs == sum(c * ns[r] ** k for k, c in enumerate(coeffs))

@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from helpers import random_fraction
 from vandersolve.field import CountingNumber, OpCounter
-from vandersolve.kernel import solve_overdetermined
+from vandersolve.kernel import InconsistentSystemError, solve_general
 from vandersolve.poly import Polynomial, first_miss
 from vandersolve.symfuncs import NodeSet, poly_from_roots
 from vandersolve.vandermonde import solve_square
@@ -92,8 +94,9 @@ def test_integer_horner_types():
 def test_first_miss_lhs_on_an_inconsistent_system():
     nodes = NodeSet((Fraction(1, 2), Fraction(-3), Fraction(5, 3), Fraction(7, 2)))
     q = [Fraction(1), Fraction(2, 3), Fraction(-1), Fraction(4)]
-    result = solve_overdetermined(nodes, q, 3)
-    assert (result.inconsistent_at, result.rhs) == (3, 4)
+    with pytest.raises(InconsistentSystemError) as info:
+        solve_general(nodes, q, 3)
+    assert (info.value.row, info.value.rhs) == (3, 4)
     head = Polynomial(tuple(solve_square(NodeSet(nodes[:3]), q[:3])))
-    assert result.lhs == _generic_evaluate(head, nodes[3]) == Fraction(-615, 98)
-    assert type(result.lhs) is Fraction
+    assert info.value.lhs == _generic_evaluate(head, nodes[3]) == Fraction(-615, 98)
+    assert type(info.value.lhs) is Fraction

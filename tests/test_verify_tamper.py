@@ -1,12 +1,14 @@
 """--verify against tampered payloads: a wrong answer never passes the check.
 
 Each example draws one node set and poses on it a problem for
-interpolate, solve (wide and tall), kernel and sigma [--deflated].  For
-each it computes the exact payload with the command's solve stage, then
+interpolate, solve (wide, tall and consistent, tall and inconsistent),
+kernel and sigma [--deflated].  For each it computes the exact payload
+with the command's solve stage, checks it against the oracles, then
 applies every tamper in turn (an entry changed, appended or dropped, a
 row dropped or repeated, a multiple of prod(x - a_i) added to the
-interpolant) and runs the command's check.  The check must exit 4, or
-the tampered payload must still be a correct answer by the oracles: a
+interpolant, a reported degree, dimension or field of an inconsistency
+verdict shifted) and runs the command's check.  The check must exit 4,
+or the tampered payload must still be a correct answer by the oracles: a
 kernel vector or a particular solution may move inside the solution
 set.  One example in eight carries 10**4300 as a node and as a value, so
 its results pass 4300 digits; its untampered payloads are checked and
@@ -28,30 +30,39 @@ from vandersolve.poly import Polynomial
 from vandersolve.symfuncs import NodeSet, poly_from_roots
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
-deltas = st.builds(Fraction, st.integers(1, 9) | st.integers(-9, -1), st.integers(1, 5))
+shifts = st.integers(1, 9) | st.integers(-9, -1)
+deltas = st.builds(Fraction, shifts, st.integers(1, 5))
 HUGE = Fraction(10**4300)  # 4301 digits, one past `str`'s default limit
 NESTED = ("kernel_basis", "deflated")
+# Single values a payload reports; the counts and the row index shift by an int.
+SCALARS = {"degree": shifts, "dimension": shifts, "inconsistent_at": shifts,
+           "lhs": deltas, "rhs": deltas}
 
 
 def _problems(data):
-    """A problem for each command on one drawn node set, as (argv, `cli.Problem`)."""
+    """A problem for each command on one drawn node set, as (argv, `cli.Problem`, exit code)."""
     nodes = data.draw(st.lists(rationals, min_size=1, max_size=6, unique=True))
     p, huge = len(nodes), data.draw(st.integers(0, 7)) == 0
     values = data.draw(st.lists(rationals, min_size=p, max_size=p))
     if huge:
         values[-1] = HUGE
     ns = NodeSet(tuple(nodes))
-    yield ["interpolate"], cli.Problem(ns, values)
-    yield ["solve"], cli.Problem(ns, values, p + data.draw(st.integers(1, 3)))
+    yield ["interpolate"], cli.Problem(ns, values), cli.EXIT_OK
+    yield ["solve"], cli.Problem(ns, values, p + data.draw(st.integers(1, 3))), cli.EXIT_OK
     if p > 1:  # tall and consistent: a polynomial of degree below n
         n = data.draw(st.integers(1, p - 1))
         poly = Polynomial(tuple(data.draw(st.lists(rationals, min_size=n, max_size=n))))
-        yield ["solve"], cli.Problem(ns, [HUGE if huge else poly.evaluate(a) for a in nodes], n)
+        tall = [HUGE if huge else poly.evaluate(a) for a in nodes]
+        yield ["solve"], cli.Problem(ns, tall, n), cli.EXIT_OK
+        # tall and inconsistent: value r >= n moved off the polynomial
+        r = data.draw(st.integers(n, p - 1))
+        tall[r] += data.draw(deltas)
+        yield ["solve"], cli.Problem(ns, tall, n), cli.EXIT_INCONSISTENT
     if huge:
         ns = NodeSet((HUGE,) + ns.nodes[1:])
-    yield ["kernel"], cli.Problem(ns, None, p + data.draw(st.integers(1, 3)))
-    yield ["sigma"], cli.Problem(ns)
-    yield ["sigma", "--deflated"], cli.Problem(ns)
+    yield ["kernel"], cli.Problem(ns, None, p + data.draw(st.integers(1, 3))), cli.EXIT_OK
+    yield ["sigma"], cli.Problem(ns), cli.EXIT_OK
+    yield ["sigma", "--deflated"], cli.Problem(ns), cli.EXIT_OK
 
 
 def _moves(payload):
@@ -65,10 +76,13 @@ def _moves(payload):
                         for move in ("change", "append", "drop", "drop-row", "repeat-row"))
     if "coefficients" in payload:
         yield "coefficients", "root-product"
+    yield from ((key, "shift") for key in SCALARS if key in payload)
 
 
 def _tamper(data, payload, key, move, nodes) -> dict:
     """The payload with the result under `key` changed by `move`, at drawn places."""
+    if move == "shift":
+        return {**payload, key: payload[key] + data.draw(SCALARS[key])}
     rows = [list(row) for row in payload[key]] if key in NESTED else [list(payload[key])]
     r = data.draw(st.integers(0, len(rows) - 1))
     if move == "drop-row":
@@ -103,18 +117,33 @@ def _is_kernel_basis(nodes, n, vectors) -> bool:
             and (dimension == 0 or oracle.gaussian_rank(vectors) == dimension))
 
 
+def _first_miss(nodes, values, n):
+    """(row, lhs, rhs) of the first equation from n on that the fit of the first n misses."""
+    fit = oracle.solve_by_elimination(nodes[:n], values[:n])
+    for r in range(n, len(nodes)):
+        lhs = sum(c * nodes[r] ** k for k, c in enumerate(fit))
+        if lhs != values[r]:
+            return r, lhs, values[r]
+    return None
+
+
 def _is_correct(command, problem, payload) -> bool:
     """Whether the payload answers the problem, by the oracles alone."""
     nodes, p = problem.nodes, len(problem.nodes)
     if command == "interpolate":
         coeffs = list(Polynomial(tuple(payload["coefficients"])).coeffs)
-        return (len(coeffs) <= p and coeffs + [0] * (p - len(coeffs))
+        return (len(coeffs) <= p and payload["degree"] == len(coeffs) - 1
+                and coeffs + [0] * (p - len(coeffs))
                 == oracle.solve_by_elimination(nodes, problem.values))
+    if command == "solve" and "inconsistent_at" in payload:
+        verdict = (payload["inconsistent_at"], payload["lhs"], payload["rhs"])
+        return verdict == _first_miss(nodes, problem.values, problem.n)
     if command == "solve":
         return (_solves(nodes, problem.values, problem.n, payload["particular"])
                 and _is_kernel_basis(nodes, problem.n, payload["kernel_basis"]))
     if command == "kernel":
-        return _is_kernel_basis(nodes, problem.n, payload["kernel_basis"])
+        return (payload["dimension"] == len(payload["kernel_basis"])
+                and _is_kernel_basis(nodes, problem.n, payload["kernel_basis"]))
     if list(payload["sigma"]) != [oracle.sigma_bruteforce(nodes, t) for t in range(p + 1)]:
         return False
     rows = payload.get("deflated")
@@ -146,10 +175,11 @@ def _rendered_exactly(payload, args) -> bool:
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_verify_exits_four_on_every_wrong_answer(data):
-    for argv, problem in _problems(data):
+    for argv, problem, expected in _problems(data):
         args = cli._build_parser().parse_args(argv)
         payload, code = args.solve(problem, args)
-        assert code == cli.EXIT_OK
+        assert code == expected
+        assert _is_correct(argv[0], problem, payload)
         args.check(problem, payload)
         if any(x == HUGE for x in list(problem.nodes) + list(problem.values or ())):
             assert _rendered_exactly(payload, args)
