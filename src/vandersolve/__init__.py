@@ -12,7 +12,6 @@ from .field import (
     CountingNumber,
     OpCounter,
     ScalarParseError,
-    counting,
     parse_scalar,
 )
 from .kernel import (
@@ -52,7 +51,6 @@ __all__ = [
     "Polynomial",
     "ScalarParseError",
     "compute_sigma",
-    "counting",
     "deflate_all",
     "determinant",
     "interpolate",

@@ -506,7 +506,8 @@ def _emit(payload: dict, args) -> None:
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
+            fh.write("\n")
     except OSError as exc:
         raise _file_error("write", out, exc) from exc
 

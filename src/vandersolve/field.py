@@ -9,10 +9,10 @@ every other type (float, `Decimal`, str) raises TypeError, since only
 the caller knows whether 0.1 means its binary value or 1/10.
 `parse_scalar` reads every literal exactly, whatever the CLI's output
 format, and `exact_str` writes an exact scalar back at any size.  After
-the gate, `is_exact` picks the path: the closed forms, the elimination
-oracle and `Polynomial.evaluate` run in ints on exact scalars, and
-`CountingNumber` runs their generic code; a solve takes exact nodes with
-exact values or counted nodes with counted values, never a mix.
+the gate, `is_exact` picks the path: the closed forms and
+`Polynomial.evaluate` run in ints on exact scalars, and `CountingNumber`
+runs their generic code; a solve takes exact nodes with exact values or
+counted nodes with counted values, never a mix.
 `exact_div` keeps a quotient of two ints rational on both paths.
 
 `CountingNumber` wraps a scalar and tallies every arithmetic operation into
@@ -76,9 +76,8 @@ def exact_div(x, y):
     """Field division that keeps a quotient of two ints rational.
 
     `inverse` divides the int rows of exact nodes by their int column
-    denominators through it, the generic elimination its plain-int
-    identities 0 and 1, and a `CountingNumber` its wrapped values; true
-    division would silently turn int/int into a float.
+    denominators through it, and a `CountingNumber` its wrapped values;
+    true division would silently turn int/int into a float.
     """
     if isinstance(x, int) and isinstance(y, int):
         return Fraction(x, y)
@@ -164,11 +163,6 @@ class CountingNumber:
 
     def __repr__(self):
         return f"CountingNumber({self.value!r})"
-
-
-def counting(values, counter: OpCounter) -> list:
-    """Wrap a sequence of scalars for instrumentation."""
-    return [CountingNumber(v, counter) for v in values]
 
 
 def exact_scalar(x):

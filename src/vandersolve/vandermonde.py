@@ -79,11 +79,9 @@ class DenseMatrix:
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
                 f"entries, got {len(self.entries)}")
 
-    def row(self, i: int) -> tuple:
-        return self.entries[i * self.cols:(i + 1) * self.cols]
-
     def to_rows(self) -> list:
-        return [list(self.row(i)) for i in range(self.rows)]
+        c = self.cols
+        return [list(self.entries[i * c:(i + 1) * c]) for i in range(self.rows)]
 
 
 def determinant(nodes: NodeSet):

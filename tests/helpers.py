@@ -5,11 +5,17 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
+from vandersolve.field import CountingNumber, OpCounter
 from vandersolve.symfuncs import NodeSet
 
 small_fractions = st.fractions(min_value=-8, max_value=8, max_denominator=8)
 # Exact scalars as callers pass them: Fractions, plain ints, or both in one list.
 exact_scalars = st.one_of(small_fractions, st.integers(min_value=-8, max_value=8))
+
+
+def counting(values, counter: OpCounter) -> list:
+    """Wrap a sequence of scalars for op counting."""
+    return [CountingNumber(v, counter) for v in values]
 
 
 def node_sets(min_size: int = 1, max_size: int = 8, elements=small_fractions):

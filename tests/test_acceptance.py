@@ -13,8 +13,10 @@ import sys
 import time
 from fractions import Fraction
 
+import reference
 from helpers import (
     affine_member,
+    counting,
     identity,
     mat_mul,
     mat_vec,
@@ -23,7 +25,7 @@ from helpers import (
     vandermonde_rows,
 )
 from vandersolve import bench, oracle
-from vandersolve.field import OpCounter, counting
+from vandersolve.field import OpCounter
 from vandersolve.kernel import kernel_basis, solve_general
 from vandersolve.poly import Polynomial
 from vandersolve.symfuncs import NodeSet, compute_sigma, deflate_all, normalized
@@ -53,7 +55,7 @@ def test_criterion_1_sigma_oracle_equivalence():
     for ns in _sigma_node_sets():
         sigma = normalized(compute_sigma(ns))
         for t in range(len(ns) + 1):
-            assert sigma[t] == oracle.sigma_bruteforce(ns, t)
+            assert sigma[t] == reference.sigma_bruteforce(ns, t)
     _finish(1, "sigma oracle equivalence, 200 node sets", t0, 10)
 
 
@@ -94,7 +96,7 @@ def test_criterion_4_solve_equivalence():
         matrix = vandermonde_rows(ns, n)
         assert solve_square(ns, q) == oracle.gaussian_solve(matrix, q)
         if n <= 6:
-            assert determinant(ns) == oracle.cofactor_determinant(matrix)
+            assert determinant(ns) == reference.cofactor_determinant(matrix)
     _finish(4, "solve equals elimination oracle; determinant equals cofactor", t0, 30)
 
 
@@ -110,13 +112,13 @@ def test_criterion_5_kernel_suite():
         matrix = vandermonde_rows(ns, n)
         for vec in basis.vectors:
             assert mat_vec(matrix, vec) == [0] * p
-        assert oracle.gaussian_rank(basis.vectors) == n - p
-        assert oracle.gaussian_rank(matrix) == p
+        assert reference.gaussian_rank(basis.vectors) == n - p
+        assert reference.gaussian_rank(matrix) == p
 
     fixture_nodes = NodeSet((F(2), F(3), F(4)))
     expected = tuple(
-        oracle.sigma_bruteforce(fixture_nodes, t) if t % 2 == 0
-        else -oracle.sigma_bruteforce(fixture_nodes, t)
+        reference.sigma_bruteforce(fixture_nodes, t) if t % 2 == 0
+        else -reference.sigma_bruteforce(fixture_nodes, t)
         for t in (3, 2, 1, 0))
     assert kernel_basis(fixture_nodes, 4).vectors == (expected,)
     _finish(5, "kernel dimension, membership, rank; single-vector fixture", t0, 30)

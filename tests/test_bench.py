@@ -8,8 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from vandersolve import bench, oracle
-from vandersolve.field import OpCounter, counting
+import reference
+from helpers import counting
+from vandersolve import bench
+from vandersolve.field import OpCounter
 from vandersolve.symfuncs import NodeSet, compute_sigma, deflate_all, normalized
 from vandersolve.vandermonde import solve_square
 
@@ -153,7 +155,7 @@ def test_gaussian_kernel_matches_oracle(n):
     vals = bench.bench_values(n)
     matrix = bench.build_matrix_floats(nodes, n)
     got = bench.gaussian_solve_floats(matrix, vals, OpCounter())
-    want = oracle.gaussian_solve(matrix.tolist(), vals.tolist())
+    want = reference.gaussian_solve(matrix.tolist(), vals.tolist())
     assert np.allclose(got, want, rtol=1e-8)
 
 
@@ -227,7 +229,7 @@ def test_gaussian_kernel_with_pivots_from_below_while_factoring_the_right_half()
 def instrumented_gaussian_counts(matrix, vals):
     inst = OpCounter()
     wrapped = [counting(r, inst) for r in matrix.tolist()]
-    oracle.gaussian_solve(wrapped, counting(vals.tolist(), inst))
+    reference.gaussian_solve(wrapped, counting(vals.tolist(), inst))
     return inst
 
 
@@ -239,7 +241,7 @@ def test_gaussian_kernel_with_small_panels_matches_oracle(monkeypatch, panel, p)
     matrix, vals = random_system(p)
     ops = OpCounter()
     got = bench.gaussian_solve_floats(matrix, vals, ops)
-    want = oracle.gaussian_solve(matrix.tolist(), vals.tolist())
+    want = reference.gaussian_solve(matrix.tolist(), vals.tolist())
     np.testing.assert_allclose(got, want, rtol=1e-9)
     assert ops == instrumented_gaussian_counts(matrix, vals)
 
@@ -281,7 +283,7 @@ def test_gaussian_bulk_counts_equal_instrumented_counts(n):
 
     inst = OpCounter()
     wrapped = [counting(r, inst) for r in matrix.tolist()]
-    oracle.gaussian_solve(wrapped, counting(vals.tolist(), inst))
+    reference.gaussian_solve(wrapped, counting(vals.tolist(), inst))
     assert bulk == inst
 
 

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from helpers import counting
 from vandersolve.field import (
     CountingNumber,
     OpCounter,
     ScalarParseError,
-    counting,
     exact_div,
     exact_scalar,
     parse_scalar,

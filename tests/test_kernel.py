@@ -6,11 +6,18 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from helpers import affine_member, mat_vec, node_sets, small_fractions, vandermonde_rows
+from helpers import (
+    affine_member,
+    counting,
+    mat_vec,
+    node_sets,
+    small_fractions,
+    vandermonde_rows,
+)
+from reference import gaussian_rank, sigma_bruteforce
 from vandersolve import kernel
-from vandersolve.field import OpCounter, counting
+from vandersolve.field import OpCounter
 from vandersolve.kernel import InconsistentSystemError, kernel_basis, solve_general
-from vandersolve.oracle import gaussian_rank, sigma_bruteforce
 from vandersolve.symfuncs import NodeSet
 from vandersolve.vandermonde import DimensionMismatchError
 

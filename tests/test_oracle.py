@@ -1,4 +1,5 @@
-"""The brute-force references themselves: self-consistency and examples."""
+"""The references themselves: the package's elimination oracle and the test-only
+references of `reference`, by self-consistency and examples."""
 
 import random
 from fractions import Fraction
@@ -7,7 +8,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
+import reference
 from helpers import (
+    counting,
     exact_scalars,
     identity,
     mat_vec,
@@ -16,15 +19,9 @@ from helpers import (
     small_fractions,
     vandermonde_rows,
 )
-from vandersolve.field import OpCounter, counting
-from vandersolve.oracle import (
-    SingularMatrixError,
-    cofactor_determinant,
-    gaussian_rank,
-    gaussian_solve,
-    sigma_bruteforce,
-    solve_by_elimination,
-)
+from reference import cofactor_determinant, gaussian_rank, sigma_bruteforce
+from vandersolve.field import CountingNumber, OpCounter
+from vandersolve.oracle import SingularMatrixError, gaussian_solve, solve_by_elimination
 from vandersolve.symfuncs import NodeSet
 
 F = Fraction
@@ -94,14 +91,18 @@ def test_cofactor_examples():
     assert cofactor_determinant(vandermonde_rows(nodes, 3)) == 2
 
 
-# --- the integer elimination path against the generic one -------------------------
+@pytest.mark.parametrize("rows,q", [
+    ([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0]),
+    ([[1, 2], [3, 4]], [1, 0.5]),
+    ([[CountingNumber(1, OpCounter()), 2], [3, 4]], [1, 2]),
+    ([[1, 2], [3, 4]], [1, CountingNumber(F(1, 2), OpCounter())]),
+], ids=["float rows", "float value", "counted rows", "counted value"])
+def test_oracle_takes_ints_and_fractions_only(rows, q):
+    with pytest.raises(TypeError, match="is not an int or a Fraction"):
+        gaussian_solve(rows, q)
 
 
-def _generic_solve(rows, q):
-    """gaussian_solve's generic path: CountingNumber-wrapped scalars, unwrapped."""
-    counter = OpCounter()
-    wrapped = [counting(r, counter) for r in rows]
-    return [x.value for x in gaussian_solve(wrapped, counting(q, counter))]
+# --- the oracle's fraction-free elimination against the reference elimination -----
 
 
 def _elimination_cases():
@@ -117,7 +118,7 @@ def _elimination_cases():
         [[random_fraction(rng) if (i + j) % 2 else rng.randint(-9, 9) for j in range(5)]
          for i in range(5)], [rng.randint(-9, 9) if i % 2 else random_fraction(rng)
                               for i in range(5)]
-    # zero multipliers (skipped on the integer path only) and negative pivots
+    # zero multipliers (the oracle skips them, the reference does not) and negative pivots
     yield "sparse rationals", \
         [[0 if rng.random() < 0.4 else random_fraction(rng) for _ in range(7)]
          for _ in range(7)], [random_fraction(rng) for _ in range(7)]
@@ -139,7 +140,7 @@ def _elimination_cases():
                                     for name, rows, q in _elimination_cases()])
 def test_integer_elimination_matches_generic_path(rows, q):
     x = gaussian_solve(rows, q)
-    assert x == _generic_solve(rows, q)
+    assert x == reference.gaussian_solve(rows, q)
     assert all(type(v) is F for v in x)
     assert mat_vec(rows, x) == list(q)
 
@@ -152,15 +153,15 @@ def test_integer_elimination_matches_generic_path(rows, q):
 def test_integer_elimination_reports_singular_matrix_like_generic(rows):
     q = [1] * len(rows)
     with pytest.raises(SingularMatrixError) as generic:
-        _generic_solve(rows, q)
+        reference.gaussian_solve(rows, q)
     with pytest.raises(SingularMatrixError, match=str(generic.value)):
         gaussian_solve(rows, q)
 
 
 def test_generic_path_keeps_wrapped_ints_rational():
     counter = OpCounter()
-    x = gaussian_solve([counting([2, 1], counter), counting([1, 3], counter)],
-                       counting([1, 2], counter))
+    x = reference.gaussian_solve([counting([2, 1], counter), counting([1, 3], counter)],
+                                 counting([1, 2], counter))
     assert [v.value for v in x] == [F(1, 5), F(3, 5)]
     assert all(type(v.value) is F for v in x)
 
@@ -184,8 +185,8 @@ vandermonde_systems = st.lists(exact_nodes, min_size=1, max_size=8, unique=True)
 def test_integer_vandermonde_rows_match_fraction_rows(system):
     nodes, q = system
     x = solve_by_elimination(NodeSet(tuple(nodes)), q)
-    want = _generic_solve(vandermonde_rows([F(a) for a in nodes], len(nodes)),
-                          [F(y) for y in q])
+    want = reference.gaussian_solve(vandermonde_rows([F(a) for a in nodes], len(nodes)),
+                                    [F(y) for y in q])
     assert x == want
     assert all(type(v) is F for v in x)
 

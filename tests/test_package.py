@@ -1,6 +1,7 @@
 """The package surface: `__all__` names every public name, and each one is bound;
 the package's sigma record divides out the int rows of `symfuncs`; the
-elimination oracle imports nothing of the code it checks."""
+elimination oracle imports nothing of the code it checks, and the
+test-only references import only it and `field`."""
 
 import ast
 import sys
@@ -8,6 +9,7 @@ import types
 from fractions import Fraction
 from pathlib import Path
 
+import reference
 import vandersolve
 from vandersolve import oracle, symfuncs
 
@@ -31,8 +33,9 @@ def test_package_sigma_record_holds_the_divided_rows():
     assert table.deflated[2] == tuple(map(Fraction, ("1", "19/12", "-5/8", "-7/12")))
 
 
-def test_oracle_imports_only_the_standard_library_and_field():
-    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+def _imports(module) -> tuple:
+    """(relative, absolute) module names that the module's source imports."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     relative, absolute = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level:
@@ -43,5 +46,20 @@ def test_oracle_imports_only_the_standard_library_and_field():
             absolute.add(node.module)
         elif isinstance(node, ast.Import):
             absolute |= {alias.name for alias in node.names}
-    assert relative == {".field"}
-    assert all(name.partition(".")[0] in sys.stdlib_module_names for name in absolute)
+    return relative, absolute
+
+
+def _non_stdlib(names) -> set:
+    return {name for name in names if name.partition(".")[0] not in sys.stdlib_module_names}
+
+
+def test_oracle_imports_only_the_standard_library():
+    relative, absolute = _imports(oracle)
+    assert relative == set()
+    assert _non_stdlib(absolute) == set()
+
+
+def test_reference_imports_only_the_standard_library_field_and_oracle():
+    relative, absolute = _imports(reference)
+    assert relative == set()
+    assert _non_stdlib(absolute) <= {"vandersolve.field", "vandersolve.oracle"}

@@ -6,9 +6,9 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from helpers import node_sets, small_fractions
-from vandersolve.field import OpCounter, counting
-from vandersolve.oracle import sigma_bruteforce
+from helpers import counting, node_sets, small_fractions
+from reference import sigma_bruteforce
+from vandersolve.field import OpCounter
 from vandersolve.symfuncs import (
     DuplicateNodeError,
     NodeSet,

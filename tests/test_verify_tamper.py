@@ -24,6 +24,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+import reference
 from helpers import mat_vec, vandermonde_rows
 from vandersolve import cli, oracle
 from vandersolve.poly import Polynomial
@@ -114,7 +115,7 @@ def _is_kernel_basis(nodes, n, vectors) -> bool:
     dimension = max(n - len(nodes), 0)
     return (len(vectors) == dimension
             and all(_solves(nodes, [0] * len(nodes), n, v) for v in vectors)
-            and (dimension == 0 or oracle.gaussian_rank(vectors) == dimension))
+            and (dimension == 0 or reference.gaussian_rank(vectors) == dimension))
 
 
 def _first_miss(nodes, values, n):
@@ -144,11 +145,11 @@ def _is_correct(command, problem, payload) -> bool:
     if command == "kernel":
         return (payload["dimension"] == len(payload["kernel_basis"])
                 and _is_kernel_basis(nodes, problem.n, payload["kernel_basis"]))
-    if list(payload["sigma"]) != [oracle.sigma_bruteforce(nodes, t) for t in range(p + 1)]:
+    if list(payload["sigma"]) != [reference.sigma_bruteforce(nodes, t) for t in range(p + 1)]:
         return False
     rows = payload.get("deflated")
     return rows is None or (len(rows) == p and all(
-        list(row) == [oracle.sigma_bruteforce(nodes[:i] + nodes[i + 1:], t) for t in range(p)]
+        list(row) == [reference.sigma_bruteforce(nodes[:i] + nodes[i + 1:], t) for t in range(p)]
         for i, row in enumerate(rows)))
 
 
