@@ -46,7 +46,7 @@ import sys
 from dataclasses import dataclass
 
 from . import oracle
-from .field import ScalarParseError, exact_str, parse_scalar
+from .field import ScalarParseError, exact_str, over_common_denominator, parse_scalar
 from .kernel import InconsistentSystemError, kernel_basis, solve_general
 from .poly import Polynomial, first_miss
 from .symfuncs import NodeSet, compute_sigma, deflate_all, normalized
@@ -120,13 +120,12 @@ class Problem:
 
 
 def _dimension(n: int, p: int) -> int:
-    """Check the ambient dimension of solve and kernel (--n or the file's "n").
+    """Check the ambient dimension of solve and kernel (--n or the file's "n") for size.
 
     The result holds at most n * max(n - p + 1, 1) entries: the
     particular solution and max(n - p, 0) kernel vectors of n entries.
+    n < 1 passes here: `kernel_basis` refuses it in the solve stage.
     """
-    if n < 1:
-        raise CliError("need n >= 1", EXIT_INVALID)
     if n * max(n - p + 1, 1) > MAX_ENTRIES:
         raise CliError(f"n is too large: the result would pass {MAX_ENTRIES} entries "
                        f"(n * max(n - p + 1, 1) with p = {p})", EXIT_INVALID)
@@ -380,12 +379,12 @@ def _verify_sigma(problem: Problem, payload: dict):
         return
     if len(deflated) != p:
         _verify_fail(f"{len(deflated)} deflated rows for {p} nodes")
-    sigma_den, sigma = _over_common_denominator(sigma)
+    sigma_den, sigma = over_common_denominator(sigma)
     for i, (a, row) in enumerate(zip(nodes, deflated)):
         if len(row) != p:
             _verify_fail(f"deflated row {i} has {len(row)} entries, not {p}")
         # sigma(t) * scale = lead * D_i(t) + trail * D_i(t-1)
-        row_den, row = _over_common_denominator(row)
+        row_den, row = over_common_denominator(row)
         g = math.gcd(sigma_den, row_den * a.denominator)
         scale = row_den * a.denominator // g
         lead, trail = (sigma_den // g) * a.denominator, (sigma_den // g) * a.numerator
@@ -393,12 +392,6 @@ def _verify_sigma(problem: Problem, payload: dict):
         for t in range(p + 1):
             if sigma[t] * scale != lead * padded[t + 1] + trail * padded[t]:
                 _verify_fail(f"deflated row {i} times (x - {exact_str(a)}) misses sigma({t})")
-
-
-def _over_common_denominator(row) -> tuple:
-    """(L, ints) with L the lcm of the exact row's denominators and ints = L * row."""
-    den = math.lcm(*(x.denominator for x in row))
-    return den, [x.numerator * (den // x.denominator) for x in row]
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +413,11 @@ def cmd_solve(problem: Problem, args) -> tuple:
 
 def cmd_kernel(problem: Problem, args) -> tuple:
     nodes, n = problem.nodes, problem.n
+    basis = kernel_basis(nodes, n)  # refuses n < 1 first
     if len(nodes) > n:
         raise CliError(
             f"matrix with {len(nodes)} rows and {n} columns has a trivial kernel; "
             'use "vandersolve solve" instead', EXIT_INVALID)
-    basis = kernel_basis(nodes, n)
     return {"dimension": basis.dimension, "kernel_basis": basis.vectors}, EXIT_OK
 
 

@@ -13,7 +13,8 @@ the gate, `is_exact` picks the path: the closed forms and
 `Polynomial.evaluate` run in ints on exact scalars, and `CountingNumber`
 runs their generic code; a solve takes exact nodes with exact values or
 counted nodes with counted values, never a mix.
-`exact_div` keeps a quotient of two ints rational on both paths.
+`exact_div` keeps a quotient of two ints rational on both paths, and
+`over_common_denominator` lifts an exact row to ints over one denominator.
 
 `CountingNumber` wraps a scalar and tallies every arithmetic operation into
 a shared `OpCounter`; it divides through `exact_div`, so wrapped ints
@@ -22,12 +23,12 @@ appears in public results.
 """
 
 import decimal
+import math
 import numbers
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 
 # The exponent of a decimal literal, as `Fraction` reads it.
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\Z")
@@ -182,6 +183,12 @@ def exact_scalar(x):
         f"Fraction(str(x)) for its decimal reading")
 
 
-def is_exact(*sequences) -> bool:
+def over_common_denominator(row) -> tuple:
+    """(L, ints) with L the lcm of the exact row's denominators and ints = L * row."""
+    den = math.lcm(*(x.denominator for x in row))
+    return den, [x.numerator * (den // x.denominator) for x in row]
+
+
+def is_exact(scalars) -> bool:
     """True when every scalar is an int or a Fraction: the exact path applies."""
-    return all(isinstance(x, (int, Fraction)) for x in chain(*sequences))
+    return all(isinstance(x, (int, Fraction)) for x in scalars)

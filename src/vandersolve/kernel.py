@@ -1,4 +1,4 @@
-"""Solution sets of p x n Vandermonde systems, for any p and n.
+"""Solution sets of p x n Vandermonde systems, for any p and any n >= 1.
 
 For p nodes and n >= p unknowns the null space has dimension n - p and is
 spanned by cyclic shifts of one signed-sigma vector; the complete solution
@@ -6,7 +6,9 @@ set of the p x n system is one particular solution (square solve on the
 first p coefficients, zero-padded) plus that span.  For p > n the kernel
 is trivial: the square solve on the first n nodes is the only candidate,
 and each remaining equation is checked exactly.  A system that misses one
-has no solution and raises InconsistentSystemError.
+has no solution and raises InconsistentSystemError.  `kernel_basis`
+owns the rule n >= 1 and `solve_general` runs it first: n < 1 raises
+ValueError("need n >= 1").
 """
 
 from dataclasses import dataclass
@@ -38,8 +40,6 @@ class KernelBasis:
     trailing ones form an echelon pattern, so the family is free.
     """
 
-    n: int
-    p: int
     vectors: tuple
 
     @property
@@ -63,13 +63,15 @@ def kernel_basis(nodes: NodeSet, n: int) -> KernelBasis:
     (ending in 1), the rest is zero; later vectors shift the block right
     one slot.  Empty when p >= n: the kernel is trivial.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     p = len(nodes)
     if p >= n:
-        return KernelBasis(n=n, p=p, vectors=())
+        return KernelBasis(())
     head = poly_from_roots(nodes).coeffs
     vectors = tuple(
         (0,) * k + head + (0,) * (n - p - 1 - k) for k in range(n - p))
-    return KernelBasis(n=n, p=p, vectors=vectors)
+    return KernelBasis(vectors)
 
 
 def solve_general(nodes: NodeSet, q, n: int) -> AffineSolutionSpace:
@@ -79,15 +81,16 @@ def solve_general(nodes: NodeSet, q, n: int) -> AffineSolutionSpace:
     solves the square system on the first min(p, n) nodes; for p < n it
     is padded with n - p zeros, and for p > n every remaining equation
     is compared exactly, the first one missed raising
-    InconsistentSystemError.
+    InconsistentSystemError; n < 1 raises ValueError before any of it.
     """
     p = len(nodes)
     if len(q) != p:
         raise DimensionMismatchError(f"{p} nodes but {len(q)} values")
+    basis = kernel_basis(nodes, n)
     q = [exact_scalar(x) for x in q]
     m = min(p, n)
     w = tuple(solve_square(nodes if p <= n else NodeSet(nodes.nodes[:n]), q[:m]))
     miss = first_miss(Polynomial(w), nodes, q, start=m)
     if miss is not None:
         raise InconsistentSystemError(*miss, q[miss[0]])
-    return AffineSolutionSpace(particular=w + (0,) * (n - m), basis=kernel_basis(nodes, n))
+    return AffineSolutionSpace(particular=w + (0,) * (n - m), basis=basis)

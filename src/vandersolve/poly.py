@@ -8,12 +8,11 @@ homogenised, and builds one Fraction at the end.  Any other scalar
 (`CountingNumber`, a float) takes the generic loop.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .field import is_exact
+from .field import is_exact, over_common_denominator
 
 
 def _trimmed(coeffs) -> tuple:
@@ -50,8 +49,7 @@ class Polynomial:
         """
         if not is_exact(self.coeffs):
             return None
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        nums = tuple(c.numerator * (den // c.denominator) for c in self.coeffs)
+        den, nums = over_common_denominator(self.coeffs)
         return den, nums, all(isinstance(c, int) for c in self.coeffs)
 
     def evaluate(self, x):
@@ -79,9 +77,6 @@ class Polynomial:
         if ints and isinstance(x, int):
             return acc
         return Fraction(acc, den * scale)
-
-    def __call__(self, x):
-        return self.evaluate(x)
 
 
 def first_miss(poly: Polynomial, nodes, values, start: int = 0):

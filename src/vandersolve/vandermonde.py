@@ -45,14 +45,13 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .field import exact_div, exact_scalar, is_exact
+from .field import exact_div, exact_scalar, is_exact, over_common_denominator
 from .poly import Polynomial
 from .symfuncs import NodeSet, _signed, compute_sigma, deflate_all
 
 __all__ = [
     "DenseMatrix",
     "DimensionMismatchError",
-    "Polynomial",
     "determinant",
     "interpolate",
     "inverse",
@@ -172,9 +171,8 @@ def _combine_exact(rows, pairs, denominators, q) -> list:
     """
     n = len(rows)
     g = lcm(*denominators)
-    m = lcm(*(x.denominator for x in q))
-    weights = [x.numerator * (m // x.denominator) * (g // e) * d ** (n - 1)
-               for x, (_, d), e in zip(q, pairs, denominators)]
+    m, nums = over_common_denominator(q)
+    weights = [y * (g // e) * d ** (n - 1) for y, (_, d), e in zip(nums, pairs, denominators)]
     columns = list(zip(*rows))  # columns[t][j] = rows[j][t]
     w = []
     for i in range(n):

@@ -267,10 +267,10 @@ def test_kernel_with_p_above_n_is_exit_two(capsys):
 @pytest.mark.parametrize("command", ["kernel", "solve"])
 def test_nonpositive_n_is_exit_two(capsys, command):
     values = ("--values", "1,2") if command == "solve" else ()  # kernel takes no values
-    code, out, err = run_cli(capsys, command, "--nodes", "1,2", *values, "--n", "-3")
-    assert code == 2
-    assert out == ""
-    assert "need n >= 1" in err
+    for n in ("0", "-3"):
+        for flags in ((), ("--verify",), ("--pretty",)):
+            code, out, err = run_cli(capsys, command, "--nodes", "1,2", *values, "--n", n, *flags)
+            assert (code, out, err) == (2, "", "error: need n >= 1\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -18,6 +18,7 @@ from vandersolve.field import (
     ScalarParseError,
     exact_div,
     exact_scalar,
+    over_common_denominator,
     parse_scalar,
 )
 
@@ -75,6 +76,19 @@ def test_inexact_scalars_are_refused(x):
     with pytest.raises(TypeError) as err:
         exact_scalar(x)
     assert "Fraction(x)" in str(err.value) and "Fraction(str(x))" in str(err.value)
+
+
+@pytest.mark.parametrize("row,expected", [
+    ([7], (1, [7])),
+    ([Fraction(-3, 4)], (4, [-3])),
+    ([Fraction(1, 6), Fraction(-3, 4), Fraction(2)], (12, [2, -9, 24])),
+    ([2, Fraction(1, 3), 0, -5, Fraction(5, 9)], (9, [18, 3, 0, -45, 5])),
+], ids=["int", "fraction", "fractions", "mixed"])
+def test_over_common_denominator_lifts_a_row_to_ints(row, expected):
+    den, ints = over_common_denominator(row)
+    assert (den, ints) == expected
+    assert all(type(x) is int for x in ints)
+    assert [Fraction(x, den) for x in ints] == row
 
 
 def test_inv_examples():

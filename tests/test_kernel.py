@@ -76,7 +76,16 @@ def test_counted_nodes_give_the_exact_root_product(case):
 def test_p_at_least_n_gives_the_empty_basis():
     for n in (1, 2, 3):
         basis = kernel_basis(make_nodes(1, 2, 3), n)
-        assert (basis.n, basis.p, basis.vectors, basis.dimension) == (n, 3, (), 0)
+        assert (basis.vectors, basis.dimension) == ((), 0)
+
+
+@pytest.mark.parametrize("n", [0, -1, -2, -10**30])
+def test_nonpositive_n_is_refused(n):
+    nodes = make_nodes(1, 2, 3)
+    with pytest.raises(ValueError, match="need n >= 1"):
+        kernel_basis(nodes, n)
+    with pytest.raises(ValueError, match="need n >= 1"):
+        solve_general(nodes, values(1, 4, 9), n)
 
 
 @given(wide_cases)

@@ -194,3 +194,6 @@ def test_integer_vandermonde_rows_match_fraction_rows(system):
 def test_solve_by_elimination_rejects_a_value_count_mismatch():
     with pytest.raises(ValueError, match="3 equations but 4 values"):
         solve_by_elimination(NodeSet((F(1, 2), 2, F(-3, 5))), [1, 2, 3, 4])
+    # the elimination itself refuses the mismatch too
+    with pytest.raises(ValueError, match="2 equations but 3 values"):
+        gaussian_solve([[1, 2], [3, 4]], [1, 2, 3])

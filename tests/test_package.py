@@ -1,7 +1,8 @@
 """The package surface: `__all__` names every public name, and each one is bound;
 the package's sigma record divides out the int rows of `symfuncs`; the
 elimination oracle imports nothing of the code it checks, and the
-test-only references import only it and `field`."""
+test-only references import only it and `field`; only `field` and the
+oracle lift a row over its denominators."""
 
 import ast
 import sys
@@ -57,6 +58,26 @@ def test_oracle_imports_only_the_standard_library():
     relative, absolute = _imports(oracle)
     assert relative == set()
     assert _non_stdlib(absolute) == set()
+
+
+def _lcm_over_denominators(path: Path) -> bool:
+    """Whether the source calls `lcm` on an expression that reads `.denominator`."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        if name == "lcm" and any(isinstance(sub, ast.Attribute) and sub.attr == "denominator"
+                                 for sub in ast.walk(node)):
+            return True
+    return False
+
+
+def test_only_field_and_oracle_lift_rows_over_their_denominators():
+    # `field.over_common_denominator` is the package's one integer lift; the
+    # oracle keeps its own copy, since it imports nothing of the package
+    package = Path(vandersolve.__file__).parent
+    lifting = {path.name for path in package.glob("*.py") if _lcm_over_denominators(path)}
+    assert lifting == {"field.py", "oracle.py"}
 
 
 def test_reference_imports_only_the_standard_library_field_and_oracle():

@@ -36,9 +36,15 @@ def test_evaluate_power_sum():
     assert Polynomial((1, 2, 3)).evaluate(Fraction(2)) == 17
 
 
-def test_polynomial_is_callable():
+def test_evaluate_fraction_and_counted_coefficients():
     p = Polynomial((Fraction(1, 2), Fraction(1)))
-    assert p(Fraction(3)) == Fraction(7, 2)
+    assert p.evaluate(Fraction(3)) == Fraction(7, 2)
+    # counted coefficients have no integer form: the generic loop runs, even at an exact x
+    counter = OpCounter()
+    counted = Polynomial((CountingNumber(Fraction(1, 2), counter), CountingNumber(1, counter)))
+    assert counted._integer_form is None
+    assert counted.evaluate(Fraction(3)) == Fraction(7, 2)
+    assert (counter.muls, counter.adds) == (1, 2)
 
 
 def test_first_miss_reports_lowest_miss_from_start():
