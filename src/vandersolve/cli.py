@@ -331,7 +331,7 @@ def _verify_verdict(problem: Problem, payload: dict):
     equation it misses, the value it takes there and the value asked for.
     """
     nodes, values, n = problem.nodes, problem.values, problem.n
-    head = NodeSet(nodes.nodes[:n])
+    head = nodes.sub(0, n)
     fit = interpolate(head, values[:n])
     if len(fit.coeffs) > n:
         _verify_fail(f"the fit of the first {n} equations has more than {n} coefficients")

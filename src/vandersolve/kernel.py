@@ -89,7 +89,7 @@ def solve_general(nodes: NodeSet, q, n: int) -> AffineSolutionSpace:
     basis = kernel_basis(nodes, n)
     q = [exact_scalar(x) for x in q]
     m = min(p, n)
-    w = tuple(solve_square(nodes if p <= n else NodeSet(nodes.nodes[:n]), q[:m]))
+    w = tuple(solve_square(nodes.sub(0, n), q[:m]))
     miss = first_miss(Polynomial(w), nodes, q, start=m)
     if miss is not None:
         raise InconsistentSystemError(*miss, q[miss[0]])

@@ -17,7 +17,9 @@ these passes as Fractions: each node is taken in its own homogeneous
 coordinates, a_k = n_k / d_k in lowest terms.  `NodeSet.pairs` holds
 those (n_k, d_k), computed once per node set and cached, or (a_k, 1)
 when a node is a `CountingNumber`; the sigma pass, the deflation and the
-column denominators of `vandermonde` all read them.  The passes build
+column denominators of `vandermonde` all read them.  `NodeSet.sub`
+takes a run of consecutive nodes as a node set of its own, sharing
+their scalars and pairs without validating again.  The passes build
 the int coefficients S of P(x) = prod(d_k x + n_k) instead of sigma, so
 sigma(t) = S_t / prod d_k.  Node k turns the row into
 S_t <- d_k S_t + n_k S_(t-1), and the row of P / (d_j x + n_j) is
@@ -76,6 +78,19 @@ class NodeSet:
 
     def __getitem__(self, index):
         return self.nodes[index]
+
+    def sub(self, start: int, stop: int) -> "NodeSet":
+        """The nodes at positions start..stop-1 as a `NodeSet`, sharing their scalars and pairs.
+
+        The nodes of a valid set are already exact and distinct, so the
+        part skips validation; an empty part raises ValueError.
+        """
+        part = object.__new__(NodeSet)
+        object.__setattr__(part, "nodes", self.nodes[start:stop])
+        if not part.nodes:
+            raise ValueError("a NodeSet needs at least one node")
+        part.__dict__["pairs"] = self.pairs[start:stop]
+        return part
 
     @cached_property
     def pairs(self) -> tuple:

@@ -4,17 +4,17 @@ Inverse and solve run the same four layers on every scalar type, with
 quadratic total work and no elimination:
 
 1. `symfuncs.compute_sigma`, the sigma pass, one int row;
-2. `symfuncs.deflate_all`, the deflated rows, p int rows;
+2. `symfuncs.deflate_all`, the deflated rows, one int row per node;
 3. `_column_denominators`, one denominator per column;
 4. the combine: `_combine_exact` or `_combine_generic` for the solve,
    one `field.exact_div` per entry for the inverse.
 
-The combine's arithmetic is the only fork.  Column j of the inverse
-holds the coefficients of the Lagrange basis polynomial that is 1 at
-node j and 0 at every other node, divided by its denominator; the solve
-sums those columns weighted by q_j, and `interpolate` wraps the result
-in a `Polynomial` (evaluate it with `Polynomial.evaluate`).  The
-determinant is the plain product of node differences.
+Column j of the inverse holds the coefficients of the Lagrange basis
+polynomial that is 1 at node j and 0 at every other node, divided by
+its denominator; the solve sums those columns weighted by q_j, and
+`interpolate` wraps the result in a `Polynomial` (evaluate it with
+`Polynomial.evaluate`).  The determinant is the plain product of node
+differences.
 
 Inputs are exact scalars (`field.exact_scalar` gates the nodes in
 `NodeSet` and the values here).  With a_k = n_k / d_k
@@ -22,17 +22,27 @@ Inputs are exact scalars (`field.exact_scalar` gates the nodes in
 (d_k x + n_k) (see `symfuncs`), and the column denominator is
 E_j = prod over k != j of (n_j d_k - n_k d_j).  The factors prod over
 k != j of d_k cancel between the two, so inverse entry (i, j) is
-(-1)^(p-1-i) d_j^(p-1) H_j[p-1-i] / E_j.  `_combine_exact` puts the
-values over one common denominator and the weights d_j^(p-1) / E_j over
-G = lcm(E_j), so each output coefficient is one integer dot product.
-`_combine_generic` runs on `CountingNumber` nodes, whose d_k are all 1,
-so E_j is the Lagrange denominator prod over k != j of (a_j - a_k): the
-same sum on the scalars' own operators, one division per column, then
-p^2 multiply-adds; the op-count tests pin that path.  A solve is all
-exact or all counted: exact nodes take only int and Fraction values,
-counted nodes only `CountingNumber` values, and any other mix raises
-TypeError.  `inverse` and `poly_from_roots` take either kind of node
-set, and `Polynomial.evaluate` any mix.
+(-1)^(p-1-i) d_j^(p-1) H_j[p-1-i] / E_j.  `inverse` and
+`_combine_generic` run the layers once on the whole node set over the
+full p x p table of rows.  `_combine_generic` runs on `CountingNumber`
+nodes, whose d_k are all 1, so E_j is the Lagrange denominator prod
+over k != j of (a_j - a_k): the sum on the scalars' own operators, one
+division per column, then p^2 multiply-adds; the op-count tests pin
+that path.
+
+The exact solve puts the values over one common denominator and the
+weights d_j^(p-1) / E_j over G = lcm(E_j), so each output coefficient is
+one integer of the row N = sum_j c_j H_j.  `_combine_exact` runs the
+sigma pass and the deflation on each block of BLOCK consecutive nodes
+(`NodeSet.sub`), takes the block's part of N as integer dot
+products, and folds it into one running numerator, so no p x p table is
+ever held.  For p <= BLOCK that is the full-table combine itself.  It is
+an algorithm equivalent to the table over all p nodes, and a test holds
+the two bit-identical.  A solve is all exact or all counted: exact
+nodes take only int and Fraction values, counted nodes only
+`CountingNumber` values, and any other mix raises TypeError.  `inverse`
+and `poly_from_roots` take either kind of node set, and
+`Polynomial.evaluate` any mix.
 
 `DenseMatrix` is the record `inverse` returns.
 
@@ -42,8 +52,9 @@ node_i ** j, and coefficient index i is the degree-i coefficient.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from .field import exact_div, exact_scalar, is_exact, over_common_denominator
 from .poly import Polynomial
@@ -57,6 +68,8 @@ __all__ = [
     "inverse",
     "solve_square",
 ]
+
+BLOCK = 16  # nodes per block of the exact combine
 
 
 class DimensionMismatchError(ValueError):
@@ -139,10 +152,13 @@ def inverse(nodes: NodeSet) -> DenseMatrix:
 
 
 def solve_square(nodes: NodeSet, q) -> list:
-    """The unique w with V(nodes) @ w = q, from one deflation pass.
+    """The unique w with V(nodes) @ w = q, from the closed form's layers.
 
-    Quadratic cost overall: the sigma pass, p deflation rows, one
-    denominator per column, and a final grid-vector sum.  No elimination
+    Quadratic cost overall: one denominator per column, then on exact
+    nodes, per block of BLOCK nodes, the sigma pass, the block's
+    deflation rows and their dot products with the column weights,
+    folded into one running numerator; on counted nodes the sigma pass,
+    p deflation rows and a final grid-vector sum.  No elimination
     anywhere.  Each value passes `field.exact_scalar`, and the solve is
     all exact or all counted: the values are ints and Fractions exactly
     when the nodes are, else every value is a `CountingNumber`.  Any
@@ -156,37 +172,61 @@ def solve_square(nodes: NodeSet, q) -> list:
     if any(is_exact([x]) != exact for x in q):
         raise TypeError("a solve is all exact or all counted: int and Fraction values "
                         "on exact nodes, CountingNumber values on counted nodes")
-    rows = deflate_all(nodes, compute_sigma(nodes))
-    combine = _combine_exact if exact else _combine_generic
-    return combine(rows, nodes.pairs, _column_denominators(nodes.pairs), q)
+    denominators = _column_denominators(nodes.pairs)
+    if exact:
+        return _combine_exact(nodes, denominators, q)
+    return _combine_generic(deflate_all(nodes, compute_sigma(nodes)), denominators, q)
 
 
-def _combine_exact(rows, pairs, denominators, q) -> list:
-    """The combine step on the integer rows H_j of exact nodes.
+def _combine_exact(nodes: NodeSet, denominators, q) -> list:
+    """The layers and the combine on exact nodes, BLOCK nodes at a time.
 
-    w_i = (-1)^(p-1-i) sum_j H_j[p-1-i] * q_j * d_j^(p-1) / E_j.  The
-    values go over their common denominator M and the column weights
-    d_j^(p-1) / E_j over G = lcm(E_j), so w_i is one integer dot product
-    over M * G.
+    w_i = (-1)^(p-1-i) sum_j H_j[p-1-i] * q_j * d_j^(p-1) / E_j.  With
+    the values over their common denominator M (q_j = y_j / M) and
+    G = lcm(E_j), the column weight c_j = y_j (G / E_j) d_j^(p-1) is an
+    integer and w_i = (-1)^(p-1-i) N[p-1-i] / (M * G) for the integer
+    row N = sum_j c_j H_j.  Block b runs the sigma pass and the
+    deflation on its own nodes, giving P_b and the rows H_j^b of
+    P_b / (d_j x + n_j), and its part N_b = sum over j in b of c_j H_j^b
+    is one integer dot product per coefficient.  Since
+    H_j = H_j^b * P / P_b, the blocks fold as N <- N * P_b + P * N_b,
+    then P <- P * P_b, P being the product over the nodes so far.
     """
-    n = len(rows)
+    p = len(nodes)
     g = lcm(*denominators)
     m, nums = over_common_denominator(q)
-    weights = [y * (g // e) * d ** (n - 1) for y, (_, d), e in zip(nums, pairs, denominators)]
-    columns = list(zip(*rows))  # columns[t][j] = rows[j][t]
-    w = []
-    for i in range(n):
-        t = n - 1 - i
-        s = sum(map(mul, columns[t], weights))
-        w.append(Fraction(s if t % 2 == 0 else -s, m * g))
-    return w
+    weights = [y * (g // e) * d ** (p - 1) for y, (_, d), e in zip(nums, nodes.pairs, denominators)]
+    num = prod = None
+    for b0 in range(0, p, BLOCK):
+        block = nodes.sub(b0, b0 + BLOCK)
+        prod_b = compute_sigma(block)
+        rows = deflate_all(block, prod_b)
+        c = weights[b0:b0 + BLOCK]
+        part = [sum(map(mul, column, c)) for column in zip(*rows)]
+        if num is None:
+            num, prod = part, prod_b
+        else:
+            num = _times(num, prod_b, _times(prod, part))
+            prod = _times(prod, prod_b)
+    return [Fraction(s if t % 2 == 0 else -s, m * g)
+            for t, s in zip(range(p - 1, -1, -1), reversed(num))]
 
 
-def _combine_generic(rows, pairs, denominators, q) -> list:
+def _times(a, b, out=None) -> list:
+    """out + a * b on int coefficient rows, b the short one, out as long as the product."""
+    if out is None:
+        out = [0] * (len(a) + len(b) - 1)
+    width = len(a)
+    for i, y in enumerate(b):
+        out[i:i + width] = map(add, out[i:i + width], map(mul, a, repeat(y)))
+    return out
+
+
+def _combine_generic(rows, denominators, q) -> list:
     """The combine step on counted scalars' own operators: the path the op counts pin.
 
-    Counted nodes have every d = 1, so `pairs` is not read and each value
-    is divided by its Lagrange denominator.
+    Counted nodes have every d = 1, so each value is divided by its
+    Lagrange denominator.
     """
     n = len(rows)
     scaled = [x / e for x, e in zip(q, denominators)]

@@ -3,7 +3,9 @@
 Naive on purpose and sharing no code with the closed-form solvers: a
 generic Gaussian elimination for solve and rank, subset enumeration for
 the symmetric coefficients, and Laplace expansion for determinants.
-Matrices are plain sequences of rows.
+Matrices are plain sequences of rows.  `combine_exact_table` is the
+exact combine over the full table of deflated rows, which the blocked
+combine of `vandermonde` must match bit for bit.
 
 `gaussian_solve` here pivots on the first nonzero candidate and does
 every update, with no zero-factor skipping and no pivot-size heuristic,
@@ -17,9 +19,11 @@ k + 1 columns, not on the pivots chosen before it.
 """
 
 import math
+from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
-from vandersolve.field import exact_div
+from vandersolve.field import exact_div, over_common_denominator
 from vandersolve.oracle import SingularMatrixError
 
 
@@ -105,3 +109,24 @@ def _laplace(rows):
         term = rows[0][j] * _laplace(minor)
         total = total + (term if j % 2 == 0 else -term)
     return total
+
+
+def combine_exact_table(rows, pairs, denominators, q) -> list:
+    """The exact combine over the whole p x p table of deflated rows H_j.
+
+    w_i = (-1)^(p-1-i) sum_j H_j[p-1-i] * q_j * d_j^(p-1) / E_j, with the
+    values over their common denominator M and the weights over
+    G = lcm(E_j), so w_i is one integer dot product over M * G: the
+    reference for the blocked combine of `vandermonde`.
+    """
+    n = len(rows)
+    g = math.lcm(*denominators)
+    m, nums = over_common_denominator(q)
+    weights = [y * (g // e) * d ** (n - 1) for y, (_, d), e in zip(nums, pairs, denominators)]
+    columns = list(zip(*rows))  # columns[t][j] = rows[j][t]
+    w = []
+    for i in range(n):
+        t = n - 1 - i
+        s = sum(map(mul, columns[t], weights))
+        w.append(Fraction(s if t % 2 == 0 else -s, m * g))
+    return w

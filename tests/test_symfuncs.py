@@ -6,7 +6,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
-from helpers import counting, node_sets, small_fractions
+from helpers import counting, exact_scalars, node_sets, small_fractions
 from reference import sigma_bruteforce
 from vandersolve.field import OpCounter
 from vandersolve.symfuncs import (
@@ -50,6 +50,20 @@ def test_empty_node_set_rejected():
 
 def test_order_is_preserved():
     assert make_nodes(3, 1, 2).nodes == (3, 1, 2)
+
+
+@given(node_sets(max_size=8, elements=exact_scalars), st.data())
+def test_sub_equals_a_fresh_node_set(ns, data):
+    start = data.draw(st.integers(0, len(ns) - 1))
+    stop = data.draw(st.integers(start + 1, len(ns) + 2))
+    part, fresh = ns.sub(start, stop), NodeSet(ns.nodes[start:stop])
+    assert isinstance(part, NodeSet)
+    assert (part.nodes, part.pairs) == (fresh.nodes, fresh.pairs)
+
+
+def test_empty_sub_rejected():
+    with pytest.raises(ValueError):
+        make_nodes(1, 2).sub(2, 4)
 
 
 # --- compute_sigma -----------------------------------------------------------

@@ -1,6 +1,7 @@
 """Square systems: closed-form determinant, inverse, solve, interpolation."""
 
 import random
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -21,7 +22,8 @@ from helpers import (
     small_fractions,
     vandermonde_rows,
 )
-from reference import cofactor_determinant, sigma_bruteforce
+from reference import cofactor_determinant, combine_exact_table, sigma_bruteforce
+from vandersolve import vandermonde
 from vandersolve.field import CountingNumber, OpCounter
 from vandersolve.kernel import kernel_basis, solve_general
 from vandersolve.oracle import gaussian_solve, solve_by_elimination
@@ -377,6 +379,53 @@ def test_a_solve_is_all_exact_or_all_counted(case, solve):
 def test_inverse_of_one_counted_node_is_rational():
     entries = inverse(NodeSet((CountingNumber(F(7), OpCounter()),))).entries
     assert entries == (1,) and type(entries[0]) is Fraction
+
+
+# --- blocked exact combine ----------------------------------------------------------
+
+
+def _table_solve(ns, q) -> list:
+    """The exact solve over the full p x p table of deflated rows."""
+    rows = deflate_all(ns, compute_sigma(ns))
+    return combine_exact_table(rows, ns.pairs, vandermonde._column_denominators(ns.pairs), q)
+
+
+def _block_cases(p: int) -> dict:
+    rng = random.Random(9000 + p)
+    grid = NodeSet(tuple(range(-(p // 2), p - p // 2)))
+    return {"rational": (random_node_set(rng, p), random_values(rng, p)),
+            "integer-grid": (grid, random_values(rng, p))}
+
+
+# one block, both sides of a block boundary, three blocks, and many
+@pytest.mark.parametrize("p", [1, 15, 16, 17, 31, 32, 33, 47, 100])
+@pytest.mark.parametrize("kind", ["rational", "integer-grid"])
+def test_blocked_combine_equals_the_full_table(kind, p):
+    ns, q = _block_cases(p)[kind]
+    assert solve_square(ns, q) == _table_solve(ns, q)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 5])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 6, 11, 17])
+@pytest.mark.parametrize("kind", ["rational", "integer-grid"])
+def test_blocked_combine_equals_the_full_table_at_any_block_size(kind, p, block, monkeypatch):
+    ns, q = _block_cases(p)[kind]
+    want = _table_solve(ns, q)
+    monkeypatch.setattr(vandermonde, "BLOCK", block)
+    assert solve_square(ns, q) == want
+
+
+def test_interpolate_holds_no_square_table():
+    # the full table of rows at p = 152 alone peaks near 2.5 MiB
+    rng = random.Random(152)
+    ns, q = random_node_set(rng, 152), random_values(rng, 152)
+    tracemalloc.start()
+    try:
+        interpolate(ns, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
 
 
 # --- cost -------------------------------------------------------------------------
