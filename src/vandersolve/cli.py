@@ -11,28 +11,33 @@ rendered once, at output: as exact "p" or "p/q" strings, or under
 
 --verify checks the exact payload, the very values that get rendered,
 before rendering: it re-evaluates every solution at every node, proves a
-kernel basis independent by its echelon of trailing ones, counts a
-reported dimension or degree again from the vectors or coefficients,
+kernel basis from its first vector, which must vanish at every node with
+p + 1 leading entries ending in a 1 (so it is prod(x - a_i)), and each
+later vector k equal to it shifted by k places, counts a reported
+dimension or degree again from the vectors or coefficients,
 cross-checks `interpolate` against exact Gaussian elimination, and
 checks `sigma` and its deflated rows by a quadratic certificate (the
 signed sigma row is a monic polynomial vanishing at every node, and each
-deflated row times x - a_i gives it back), with no limit on the node
-count.  A `solve` verdict of inconsistency (exit 3) is checked too: the
+deflated row times x - a_i gives it back), with no node-count limit of
+its own.  A `solve` verdict of inconsistency (exit 3) is checked too: the
 unique fit of the first n equations must first miss the equation it
 names, by the value it names.
 
 One size budget, MAX_ENTRIES, bounds what a run may build: `solve` and
-`kernel` refuse an n whose result would hold more entries, and `bench` a
-size whose n x n matrix would; `bench` also refuses a --reps past
-MAX_REPS.  All exit 2 in the parse stage.  An error message cuts any
-literal it quotes to 40 characters.
+`kernel` refuse an n whose result would hold more entries, `sigma
+--deflated` a node count whose p x p rows would, and `bench` a size
+whose n x n matrix would; `bench` also refuses a --reps past MAX_REPS.
+All exit 2 in the parse stage.  An error message cuts any literal it
+quotes to 40 characters.
 
 Exit codes: 0 success, 1 usage or parse error, missing input, unwritable
---out or stdout closed early, 2 invalid problem (duplicate nodes,
-dimension mismatch, n < 1, an n or a bench size past the size budget,
-a --reps past MAX_REPS, a --float result too large for a double),
-3 inconsistent tall system (p > n and no solution), 4 --verify
-mismatch, which would mean a bug with or without --float.
+--out, stdout closed early or a failed stdout write (one "error: cannot
+write stdout" line), 2 invalid problem (duplicate nodes, dimension
+mismatch, n < 1, an n, a `sigma --deflated` node count or a bench size
+past the size budget, a --reps past MAX_REPS, a --float result too
+large for a double), 3 inconsistent tall system (p > n and no
+solution), 4 --verify mismatch, which would mean a bug with or without
+--float.
 """
 
 import argparse
@@ -49,7 +54,7 @@ from . import oracle
 from .field import ScalarParseError, exact_str, over_common_denominator, parse_scalar
 from .kernel import InconsistentSystemError, kernel_basis, solve_general
 from .poly import Polynomial, first_miss
-from .symfuncs import NodeSet, compute_sigma, deflate_all, normalized
+from .symfuncs import NodeSet, ascending, compute_sigma, deflate_all, normalized
 from .vandermonde import interpolate
 
 EXIT_OK = 0
@@ -58,8 +63,8 @@ EXIT_INVALID = 2
 EXIT_INCONSISTENT = 3
 EXIT_VERIFY = 4
 
-# The most result entries (solve, kernel) or matrix entries (bench) one run
-# may build; a larger request exits 2 before anything is built.
+# The most result entries (solve, kernel, sigma --deflated) or matrix entries
+# (bench) one run may build; a larger request exits 2 before anything is built.
 MAX_ENTRIES = 10**7
 # The most timing repetitions per size that `bench` may run.
 MAX_REPS = 1000
@@ -255,6 +260,9 @@ def _parse_problem(args) -> Problem:
     if rhs and len(values) != len(nodes):
         raise CliError(f"{len(nodes)} nodes but {len(values)} values", EXIT_INVALID)
     values = [parse_scalar(t) for t in values] if rhs else None
+    if getattr(args, "deflated", False) and len(nodes) ** 2 > MAX_ENTRIES:
+        raise CliError(f"too many nodes for --deflated: {len(nodes)} rows of {len(nodes)} "
+                       f"entries would pass {MAX_ENTRIES} entries", EXIT_INVALID)
     if not hasattr(args, "n"):  # interpolate and sigma have no ambient dimension
         return Problem(nodes, values)
     if n is None and args.command == "kernel":
@@ -293,10 +301,11 @@ def _verify_residual(poly, nodes, values, what: str):
 
 
 def _verify_basis(problem: Problem, payload: dict):
-    """kernel: max(n - p, 0) annihilated vectors, vector k ending in a 1 at index p + k.
+    """kernel: max(n - p, 0) vectors, the first prod(x - a_i) and vector k it shifted by k.
 
-    The trailing ones form an echelon pattern, so the vectors are
-    independent and, with distinct nodes, span the whole kernel.
+    The first has p + 1 leading entries ending in a 1 and vanishes at the
+    p distinct nodes, so it is the monic prod(x - a_i); the shifts' trailing
+    ones form an echelon pattern, so they are independent and span the kernel.
     """
     nodes, vectors, n = problem.nodes, payload["kernel_basis"], problem.n
     p = len(nodes)
@@ -304,11 +313,15 @@ def _verify_basis(problem: Problem, payload: dict):
         _verify_fail("wrong kernel dimension")
     if payload.get("dimension", len(vectors)) != len(vectors):  # kernel reports it
         _verify_fail("dimension does not count the kernel vectors")
-    zeros = [0] * p
+    if not vectors:
+        return
+    first = tuple(vectors[0])
+    if len(first) != n or first[p] != 1 or any(x != 0 for x in first[p + 1:]):
+        _verify_fail("kernel vector 0 breaks the echelon pattern")
+    _verify_residual(Polynomial(first), nodes, [0] * p, "kernel vector 0")
     for k, vec in enumerate(vectors):
-        if len(vec) != n or vec[p + k] != 1 or any(x != 0 for x in vec[p + k + 1:]):
+        if tuple(vec) != (0,) * k + first[:n - k]:
             _verify_fail(f"kernel vector {k} breaks the echelon pattern")
-        _verify_residual(Polynomial(vec), nodes, zeros, f"kernel vector {k}")
 
 
 def _verify_solution(problem: Problem, payload: dict):
@@ -371,9 +384,7 @@ def _verify_sigma(problem: Problem, payload: dict):
     p = len(nodes)
     if len(sigma) != p + 1 or sigma[0] != 1:
         _verify_fail(f"sigma is not a monic row of {p + 1} entries")
-    signed = Polynomial(tuple(sigma[t] if t % 2 == 0 else -sigma[t]
-                              for t in range(p, -1, -1)))
-    _verify_residual(signed, nodes, [0] * p, "sigma polynomial")
+    _verify_residual(Polynomial(ascending(sigma)), nodes, [0] * p, "sigma polynomial")
     deflated = payload.get("deflated")
     if deflated is None:
         return
@@ -494,8 +505,17 @@ def _emit(payload: dict, args) -> None:
         text = json.dumps(payload, separators=(",", ":"), ensure_ascii=False)
     out = getattr(args, "out", None)
     if not out:
-        print(text)
-        sys.stdout.flush()  # a closed pipe raises here, inside main, not at exit
+        try:
+            print(text)
+            sys.stdout.flush()  # a failed write raises here, inside main, not at exit
+        except OSError as exc:
+            # Point stdout at devnull so the interpreter's flush at exit cannot raise again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            if isinstance(exc, BrokenPipeError):  # the reader closed stdout early (`| head`)
+                raise
+            raise _file_error("write", "stdout", exc) from exc
         return
     try:
         with open(out, "w", encoding="utf-8") as fh:
@@ -569,12 +589,7 @@ def main(argv=None) -> int:
             args.check(problem, payload)
             payload["verified"] = True
         _emit(payload, args)
-    except BrokenPipeError:
-        # The reader closed stdout early (`| head`).  Point stdout at devnull
-        # so the interpreter's flush at exit cannot raise again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    except BrokenPipeError:  # stdout is at devnull already
         return EXIT_PARSE
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)

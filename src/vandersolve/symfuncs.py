@@ -28,7 +28,9 @@ anywhere, and no entry exceeds prod(|n_k| + d_k).  A node with d_k = 1
 takes the plain step above, so integer grids run the same pass as
 `CountingNumber`, which is the path the op-count tests pin.
 Both passes return these int rows as plain tuples for the closed forms;
-`normalized` divides one by its head, giving sigma or a deflated row.
+`normalized` divides one by its head, giving sigma or a deflated row, and
+`ascending` reads one as a polynomial by ascending degree, codegree t
+at degree len - 1 - t with the sign (-1)^t: the one home of that rule.
 """
 
 from dataclasses import dataclass
@@ -146,20 +148,18 @@ def deflate_all(nodes: NodeSet, coeffs: tuple) -> tuple:
     return tuple(_quotient(coeffs, n, d) for n, d in nodes.pairs)
 
 
-def _signed(c, codegree: int):
-    return c if codegree % 2 == 0 else -c
+def ascending(row) -> tuple:
+    """The row by ascending degree: codegree t at degree len - 1 - t, negated when t is odd."""
+    return tuple(row[t] if t % 2 == 0 else -row[t] for t in range(len(row) - 1, -1, -1))
 
 
 def poly_from_roots(nodes: NodeSet) -> Polynomial:
-    """Monic polynomial whose roots are exactly the nodes.
+    """Monic polynomial whose roots are exactly the nodes, `ascending` of the sigma row.
 
-    The coefficient of x^i is the codegree-(p-i) coefficient with
-    alternating sign.  Exact nodes get Fraction coefficients, one
-    S_(p-i) / prod d_k each.
+    Exact nodes get Fraction coefficients, one S_(p-i) / prod d_k each.
     """
-    p = len(nodes)
     s = compute_sigma(nodes)
     if not is_exact(nodes):
-        return Polynomial(tuple(_signed(s[p - i], p - i) for i in range(p + 1)))
-    return Polynomial(tuple(Fraction(_signed(s[p - i], p - i), s[0]) for i in range(p + 1)))
+        return Polynomial(ascending(s))
+    return Polynomial(tuple(Fraction(c, s[0]) for c in ascending(s)))
 

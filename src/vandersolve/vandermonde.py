@@ -58,7 +58,7 @@ from operator import add, mul
 
 from .field import exact_div, exact_scalar, is_exact, over_common_denominator
 from .poly import Polynomial
-from .symfuncs import NodeSet, _signed, compute_sigma, deflate_all
+from .symfuncs import NodeSet, ascending, compute_sigma, deflate_all
 
 __all__ = [
     "DenseMatrix",
@@ -145,8 +145,7 @@ def inverse(nodes: NodeSet) -> DenseMatrix:
     columns = []
     for row, (_, d), e in zip(rows, nodes.pairs, _column_denominators(nodes.pairs)):
         lead = d ** (n - 1)
-        columns.append([exact_div(c if d == 1 else lead * c, e)
-                        for c in (_signed(row[t], t) for t in range(n - 1, -1, -1))])
+        columns.append([exact_div(c if d == 1 else lead * c, e) for c in ascending(row)])
     entries = tuple(columns[j][i] for i in range(n) for j in range(n))
     return DenseMatrix(n, n, entries)
 
@@ -208,8 +207,7 @@ def _combine_exact(nodes: NodeSet, denominators, q) -> list:
         else:
             num = _times(num, prod_b, _times(prod, part))
             prod = _times(prod, prod_b)
-    return [Fraction(s if t % 2 == 0 else -s, m * g)
-            for t, s in zip(range(p - 1, -1, -1), reversed(num))]
+    return [Fraction(s, m * g) for s in ascending(num)]
 
 
 def _times(a, b, out=None) -> list:
@@ -228,15 +226,9 @@ def _combine_generic(rows, denominators, q) -> list:
     Counted nodes have every d = 1, so each value is divided by its
     Lagrange denominator.
     """
-    n = len(rows)
     scaled = [x / e for x, e in zip(q, denominators)]
-    w = []
-    for t in range(n - 1, -1, -1):
-        s = 0
-        for row, x in zip(rows, scaled):
-            s = s + row[t] * x
-        w.append(s if t % 2 == 0 else -s)
-    return w
+    return list(ascending([sum(row[t] * x for row, x in zip(rows, scaled))
+                           for t in range(len(rows))]))
 
 
 def interpolate(nodes: NodeSet, q) -> Polynomial:

@@ -311,6 +311,20 @@ def test_n_past_the_size_budget_is_refused_before_building(tmp_path, capsys, arg
     assert cli._dimension(SMALLEST_REFUSED - 1, 1) == SMALLEST_REFUSED - 1
 
 
+def test_deflated_past_the_size_budget_is_refused_before_building(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "compute_sigma", None)  # any build would raise
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "sigma", "--deflated", "--nodes", _grid(1, SMALLEST_REFUSED))
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (f"error: too many nodes for --deflated: {SMALLEST_REFUSED} rows of "
+                   f"{SMALLEST_REFUSED} entries would pass {cli.MAX_ENTRIES} entries\n")
+    # one node fewer passes the parse stage (nothing is built here)
+    args = cli._build_parser().parse_args(
+        ["sigma", "--deflated", "--nodes", _grid(1, SMALLEST_REFUSED - 1)])
+    assert len(cli._parse_problem(args).nodes) == SMALLEST_REFUSED - 1
+
+
 def test_nonfinite_float_result_is_exit_two(capsys):
     code, out, err = run_cli(capsys, "interpolate", "--float", "--nodes", "0,1e-308",
                              "--values", "0,1e10")
@@ -722,6 +736,12 @@ def _drop_last(basis: KernelBasis) -> KernelBasis:
     return replace(basis, vectors=basis.vectors[:-1])
 
 
+def _second_plus_first(basis: KernelBasis) -> KernelBasis:
+    """Vector 1 replaced by vector 0 + vector 1: a valid basis, but not the shifts of vector 0."""
+    first, second, *rest = basis.vectors
+    return replace(basis, vectors=(first, tuple(map(sum, zip(first, second))), *rest))
+
+
 def _space_with_wrong_coefficient(nodes, q, n):
     space = solve_general(nodes, q, n)
     return replace(space, particular=_bump_first(space.particular))
@@ -788,6 +808,8 @@ KERNEL = ("kernel", "--nodes", "1,2", "--n", "5")
      "kernel vector 1 breaks the echelon pattern"),
     (KERNEL, "kernel_basis", lambda nodes, n: _drop_last(kernel_basis(nodes, n)),
      "wrong kernel dimension"),
+    (KERNEL, "kernel_basis", lambda nodes, n: _second_plus_first(kernel_basis(nodes, n)),
+     "kernel vector 1 breaks the echelon pattern"),
     (("interpolate", "--nodes", "1,2", "--values", "2,3"), "interpolate",
      lambda nodes, q: SimpleNamespace(coeffs=interpolate(nodes, q).coeffs, degree=6),
      "degree is not the index of the last nonzero coefficient"),
@@ -807,14 +829,28 @@ KERNEL = ("kernel", "--nodes", "1,2", "--n", "5")
      "3 deflated rows for 4 nodes"),
 ], ids=["interpolate-coefficient", "interpolate-root-product", "solve-coefficient",
         "solve-short-solution", "solve-repeated-vector", "kernel-repeated-vector",
-        "kernel-missing-vector", "interpolate-degree", "kernel-dimension", "sigma-entry",
-        "sigma-extra-entry", "deflated-entry", "deflated-row-length", "deflated-missing-row"])
+        "kernel-missing-vector", "kernel-sum-not-shift", "interpolate-degree",
+        "kernel-dimension", "sigma-entry", "sigma-extra-entry", "deflated-entry",
+        "deflated-row-length", "deflated-missing-row"])
 def test_verify_catches_tampered_results(capsys, monkeypatch, argv, target, fake, detail):
     monkeypatch.setattr(cli, target, fake)
     assert run_cli(capsys, *argv)[0] == 0  # the tampered result still renders
     code, out, err = run_cli(capsys, *argv, "--verify")
     assert (code, out) == (4, "")
     assert err == f"error: verification failed: {detail}\n"
+
+
+def test_kernel_verify_evaluates_only_the_first_vector(capsys, monkeypatch):
+    """The certificate runs one Horner pass per node on vector 0; the rest are its shifts."""
+    calls = []
+    evaluate = Polynomial.evaluate
+    monkeypatch.setattr(Polynomial, "evaluate",
+                        lambda poly, x: calls.append(x) or evaluate(poly, x))
+    code, out, err = run_cli(capsys, "kernel", "--nodes", "1,-2,3/2,5,1/7", "--n", "40",
+                             "--verify")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["dimension"] == 35
+    assert len(calls) <= 5
 
 
 def test_verify_marks_a_checked_inconsistent_verdict(capsys):
@@ -878,6 +914,18 @@ def test_closed_stdout_is_exit_one_without_traceback():
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 1
     assert b"Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_stdout_write_is_one_error_line():
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "vandersolve", "interpolate",
+                               "--nodes", "1,2", "--values", "3,4"],
+                              env=env, stdout=full, stderr=subprocess.PIPE, text=True,
+                              timeout=60)
+    assert done.returncode == 1
+    assert done.stderr == "error: cannot write stdout: No space left on device\n"
 
 
 def test_pretty_table(capsys):

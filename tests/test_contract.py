@@ -7,13 +7,15 @@ exit 0 prints its result and exit 3 its inconsistency report as JSON on
 stdout.  Argv and files come from a small grammar of valid and malformed
 literals, exponents at the digit bound and just past it, duplicate
 nodes, wrong JSON types, deeply nested JSON, ragged CSV, byte-order
-marks, sizes up to 64 and sizes that the size budget refuses, `bench`
-size lists and repetition counts, `--pretty`, and `--out` to a file or
-into a missing directory (exit 1, and nothing is created).
+marks, sizes up to 64 and sizes that the size budget refuses, `sigma
+--deflated` node counts that it refuses, `bench` size lists and
+repetition counts, `--pretty`, and `--out` to a file or into a missing
+directory (exit 1, and nothing is created).
 """
 
 import io
 import json
+import math
 import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -22,7 +24,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
-from vandersolve.cli import MAX_REPS, main
+from vandersolve.cli import MAX_ENTRIES, MAX_REPS, main
 
 BOUND = sys.get_int_max_str_digits()
 DEEP = 100000  # past any recursion limit of the JSON decoder
@@ -43,6 +45,8 @@ small_sizes = st.integers(1, 40)
 # n past the size budget is refused before anything is built
 sizes = st.one_of(small_sizes, small_sizes, small_sizes, st.integers(41, 64),
                   st.sampled_from([10**4, 10**9, 10**18, sys.maxsize, 10**20, 10**30]))
+# node counts whose p x p deflated rows pass the size budget: refused before any is built
+refused_node_counts = st.sampled_from([math.isqrt(MAX_ENTRIES) + 1, 4000])
 bench_sizes = st.one_of(
     st.lists(st.integers(1, 8), min_size=2, max_size=3, unique=True).map(
         lambda xs: ",".join(map(str, sorted(xs)))),
@@ -137,6 +141,8 @@ def invocations(draw) -> tuple:
     flags = [flag for flag in ("--verify", "--float") if draw(st.booleans())] + output
     if command == "sigma" and draw(st.booleans()):
         flags.append("--deflated")
+        if draw(st.integers(0, 3)) == 0:
+            nodes, values = [str(a) for a in range(1, draw(refused_node_counts) + 1)], None
     source = draw(st.sampled_from(["flags", "csv", "json"]))
     if source == "flags":
         argv = [command, "--nodes=" + ",".join(nodes), *flags]
