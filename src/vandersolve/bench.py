@@ -16,11 +16,13 @@ it needs O(PANEL * p) memory, never a p x p grid (Bjorck & Pereyra,
 Math. Comp. 24, 1970, do O(p^2) work in O(p) memory too).
 Elimination runs in panels of PANEL columns, as LAPACK's dgetrf does:
 each panel is factored by halves on a contiguous copy (dgetrf2), its
-rows are permuted once, and matrix products apply it to the trailing
-block, one block of PANEL rows at a time.  b rides along as column n of
-one n x (n + 1) working copy, so it needs no updates of its own, and
-the kernel holds O(n * PANEL) scratch besides.  It forms the same
-products as unblocked elimination, so it counts what that counts.
+rows are permuted once, a unit-lower solve of one vector-matrix product
+per row brings its rows of the columns to its right up to date, and
+matrix products apply it to the trailing block, one block of PANEL rows
+at a time.  b rides along as column n of one n x (n + 1) working copy,
+so it needs no updates of its own, and the kernel holds O(n * PANEL)
+scratch besides.  It forms the same products as unblocked elimination,
+so it counts what that counts.
 
 At benchmark sizes the float values themselves overflow to inf/NaN: the
 deflation subtraction cancels catastrophically and sigma values grow
@@ -160,20 +162,10 @@ def build_matrix_floats(nodes: np.ndarray, n: int) -> np.ndarray:
 def _forward(l: np.ndarray, b: np.ndarray) -> None:
     """b <- L^-1 b in place: L is the square l's strict lower triangle plus the identity.
 
-    By halves: the top half of b is solved, one matrix product takes it
-    out of the bottom half, and the bottom half is solved.  Blocks of at
-    most PANEL // 4 rows are solved one row at a time, each row by one
-    vector-matrix product with the rows above it.
+    One row at a time, each by one vector-matrix product with the rows above it.
     """
-    m = len(l)
-    if m <= max(1, PANEL // 4):
-        for i in range(1, m):
-            b[i] -= l[i, :i] @ b[:i]
-        return
-    h = m // 2
-    _forward(l[:h, :h], b[:h])
-    b[h:] -= l[h:, :h] @ b[:h]
-    _forward(l[h:, h:], b[h:])
+    for i in range(1, len(l)):
+        b[i] -= l[i, :i] @ b[:i]
 
 
 def _factor_panel(panel: np.ndarray, order: np.ndarray, j0: int, j1: int) -> None:
@@ -182,14 +174,16 @@ def _factor_panel(panel: np.ndarray, order: np.ndarray, j0: int, j1: int) -> Non
     Row j of `panel` is the panel's column j of the working copy from the
     panel's first row down, so a row swap of the copy is a swap of two
     buffer columns; each swap moves the whole buffer, so the panel's other
-    columns are always in the current row order, and `order` records it.  The left half is
-    factored first, a unit-lower solve brings the right half's top rows up
-    to date, one matrix product subtracts the left half from the rest of
-    the right half, and the right half is factored.  Leaves of PANEL // 4
-    columns run step by step: pivot search, swap, the multipliers divided
-    in place below the diagonal, and a rank-1 update of the leaf's own
-    columns.  It counts nothing: `gaussian_solve_floats` adds the counts
-    of the whole elimination at once.
+    columns are always in the current row order, and `order` records it.
+    The left half is factored first, a unit-lower solve (`_forward`, row
+    by row) brings the right half's top rows up to date, one matrix
+    product subtracts the left half from the rest of the right half, and
+    the right half is factored.  The halving pays: a flat panel and
+    one-column leaves both ran slower.  Leaves of PANEL // 4 columns run
+    step by step: pivot search, swap, the multipliers divided in place
+    below the diagonal, and a rank-1 update of the leaf's own columns.
+    It counts nothing: `gaussian_solve_floats` adds the counts of the
+    whole elimination at once.
     """
     if j1 - j0 <= max(1, PANEL // 4):
         for j in range(j0, j1):
@@ -222,11 +216,11 @@ def gaussian_solve_floats(matrix: np.ndarray, values: np.ndarray, ops: OpCounter
     rows it moved are gathered once in the columns to its right, b
     included (dlaswp); the columns to its left keep their old row order,
     since their multipliers are never read again.  A unit-lower solve
-    (`_forward`, the one the panel uses) then brings the panel's rows of
-    the right-hand columns up to date, and the panel is applied to the
-    trailing block one block of PANEL rows at a time, each block's matrix
-    product subtracted in place (dgetrf's dgemm accumulates into the
-    matrix the same way).  So besides its working copy the kernel holds
+    (`_forward`, the one the panel uses: one vector-matrix product per
+    row) then brings the panel's rows of the right-hand columns up to
+    date, and the panel is applied to the trailing block one block of
+    PANEL rows at a time, each block's matrix product subtracted in place
+    (dgetrf's dgemm accumulates into the matrix the same way).  So besides its working copy the kernel holds
     only O(n * PANEL) scratch: the panel buffer, one block's product and
     the gathered rows.  Back substitution runs one row at a time on
     column n.  Every product l_ik * u_kj is still formed exactly once, so

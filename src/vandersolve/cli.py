@@ -16,12 +16,14 @@ p + 1 leading entries ending in a 1 (so it is prod(x - a_i)), and each
 later vector k equal to it shifted by k places, counts a reported
 dimension or degree again from the vectors or coefficients,
 cross-checks `interpolate` against exact Gaussian elimination, and
-checks `sigma` and its deflated rows by a quadratic certificate (the
-signed sigma row is a monic polynomial vanishing at every node, and each
-deflated row times x - a_i gives it back), with no node-count limit of
-its own.  A `solve` verdict of inconsistency (exit 3) is checked too: the
-unique fit of the first n equations must first miss the equation it
-names, by the value it names.
+checks `sigma` by a quadratic certificate with no node-count limit of
+its own: the signed sigma row is a monic polynomial that vanishes at
+every node.  Under --deflated the rows prove that instead: each row
+times x - a_i must give the sigma polynomial back, checked in ints over
+one common denominator of sigma and every row, so a_i is a root.  A
+`solve` verdict of inconsistency (exit 3) is checked too: the unique
+fit of the first n equations must first miss the equation it names, by
+the value it names.
 
 One size budget, MAX_ENTRIES, bounds what a run may build: `solve` and
 `kernel` refuse an n whose result would hold more entries, `sigma
@@ -44,7 +46,6 @@ import argparse
 import csv
 import functools
 import json
-import math
 import os
 import re
 import sys
@@ -370,38 +371,35 @@ def _verify_interpolation(problem: Problem, payload: dict):
 def _verify_sigma(problem: Problem, payload: dict):
     """sigma: a quadratic certificate for sigma and every deflated row the payload holds.
 
-    sigma has p + 1 entries, sigma(0) = 1, and
-    P(x) = sum_t (-1)^t sigma(t) x^(p-t) vanishes at the p distinct nodes,
-    so the monic P is prod(x - a_i).  Row i has p entries and
+    sigma has p + 1 entries and sigma(0) = 1, so
+    P(x) = sum_t (-1)^t sigma(t) x^(p-t) is monic of degree p.  Without
+    deflated rows, P must vanish at the p distinct nodes, so it is
+    prod(x - a_i).  With them, row i has p entries and
     (x - a_i) * D_i(x) = P(x) coefficientwise, that is
-    sigma(t) = D_i(t) + a_i * D_i(t-1) with D_i(-1) = D_i(p) = 0; division
-    by x - a_i is unique, so that proves the row.  The identity runs in
-    ints: with sigma = S / L, D_i = R / M and a_i = n / d, it reads
-    S(t) M d = L (d R(t) + n R(t-1)), with both sides divided by
-    gcd(L, M d).
+    sigma(t) = D_i(t) + a_i * D_i(t-1) with D_i(-1) = D_i(p) = 0.  That
+    makes each a_i a root of P, which proves sigma, and division by
+    x - a_i is unique, which proves the row.  The identity runs in ints:
+    sigma and every row are lifted over one common denominator, to S and
+    R_i, and with a_i = n / d it reads d (S(t) - R_i(t)) = n R_i(t-1).
     """
     nodes, sigma = problem.nodes, payload["sigma"]
     p = len(nodes)
     if len(sigma) != p + 1 or sigma[0] != 1:
         _verify_fail(f"sigma is not a monic row of {p + 1} entries")
-    _verify_residual(Polynomial(ascending(sigma)), nodes, [0] * p, "sigma polynomial")
     deflated = payload.get("deflated")
     if deflated is None:
+        _verify_residual(Polynomial(ascending(sigma)), nodes, [0] * p, "sigma polynomial")
         return
     if len(deflated) != p:
         _verify_fail(f"{len(deflated)} deflated rows for {p} nodes")
-    sigma_den, sigma = over_common_denominator(sigma)
-    for i, (a, row) in enumerate(zip(nodes, deflated)):
+    for i, row in enumerate(deflated):
         if len(row) != p:
             _verify_fail(f"deflated row {i} has {len(row)} entries, not {p}")
-        # sigma(t) * scale = lead * D_i(t) + trail * D_i(t-1)
-        row_den, row = over_common_denominator(row)
-        g = math.gcd(sigma_den, row_den * a.denominator)
-        scale = row_den * a.denominator // g
-        lead, trail = (sigma_den // g) * a.denominator, (sigma_den // g) * a.numerator
-        padded = (0, *row, 0)
+    _, ints = over_common_denominator([*sigma, *(x for row in deflated for x in row)])
+    for i, a in enumerate(nodes):
+        padded = (0, *ints[(i + 1) * p + 1:(i + 2) * p + 1], 0)
         for t in range(p + 1):
-            if sigma[t] * scale != lead * padded[t + 1] + trail * padded[t]:
+            if a.denominator * (ints[t] - padded[t + 1]) != a.numerator * padded[t]:
                 _verify_fail(f"deflated row {i} times (x - {exact_str(a)}) misses sigma({t})")
 
 

@@ -827,11 +827,13 @@ KERNEL = ("kernel", "--nodes", "1,2", "--n", "5")
      "deflated row 1 has 5 entries, not 4"),
     (DEFLATED, "deflate_all", lambda nodes, coeffs: deflate_all(nodes, coeffs)[:-1],
      "3 deflated rows for 4 nodes"),
+    (DEFLATED, "compute_sigma", _sigma_with_wrong_entry,
+     "deflated row 0 times (x - 1) misses sigma(4)"),
 ], ids=["interpolate-coefficient", "interpolate-root-product", "solve-coefficient",
         "solve-short-solution", "solve-repeated-vector", "kernel-repeated-vector",
         "kernel-missing-vector", "kernel-sum-not-shift", "interpolate-degree",
         "kernel-dimension", "sigma-entry", "sigma-extra-entry", "deflated-entry",
-        "deflated-row-length", "deflated-missing-row"])
+        "deflated-row-length", "deflated-missing-row", "deflated-sigma-entry"])
 def test_verify_catches_tampered_results(capsys, monkeypatch, argv, target, fake, detail):
     monkeypatch.setattr(cli, target, fake)
     assert run_cli(capsys, *argv)[0] == 0  # the tampered result still renders
@@ -840,17 +842,34 @@ def test_verify_catches_tampered_results(capsys, monkeypatch, argv, target, fake
     assert err == f"error: verification failed: {detail}\n"
 
 
-def test_kernel_verify_evaluates_only_the_first_vector(capsys, monkeypatch):
-    """The certificate runs one Horner pass per node on vector 0; the rest are its shifts."""
+def _evaluations(monkeypatch) -> list:
+    """The points `Polynomial.evaluate` is called at from here on."""
     calls = []
     evaluate = Polynomial.evaluate
     monkeypatch.setattr(Polynomial, "evaluate",
                         lambda poly, x: calls.append(x) or evaluate(poly, x))
+    return calls
+
+
+def test_kernel_verify_evaluates_only_the_first_vector(capsys, monkeypatch):
+    """The certificate runs one Horner pass per node on vector 0; the rest are its shifts."""
+    calls = _evaluations(monkeypatch)
     code, out, err = run_cli(capsys, "kernel", "--nodes", "1,-2,3/2,5,1/7", "--n", "40",
                              "--verify")
     assert (code, err) == (0, "")
     assert json.loads(out)["dimension"] == 35
     assert len(calls) <= 5
+
+
+@pytest.mark.parametrize("argv,evaluations", [(DEFLATED, 0), (SIGMA, 4)],
+                         ids=["deflated", "sigma"])
+def test_sigma_verify_evaluates_only_without_rows(capsys, monkeypatch, argv, evaluations):
+    """The deflated rows prove sigma; only a bare sigma runs its residual, once per node."""
+    calls = _evaluations(monkeypatch)
+    code, out, err = run_cli(capsys, *argv, "--verify")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verified"] is True
+    assert len(calls) == evaluations
 
 
 def test_verify_marks_a_checked_inconsistent_verdict(capsys):
