@@ -52,7 +52,7 @@ import sys
 from dataclasses import dataclass
 
 from . import oracle
-from .field import ScalarParseError, exact_str, over_common_denominator, parse_scalar
+from .field import LITERAL, ScalarParseError, exact_str, over_common_denominator, parse_scalar
 from .kernel import InconsistentSystemError, kernel_basis, solve_general
 from .poly import Polynomial, first_miss
 from .symfuncs import NodeSet, ascending, compute_sigma, deflate_all, normalized
@@ -142,14 +142,6 @@ def _dimension(n: int, p: int) -> int:
 # parse stage
 
 
-def _is_scalar(text: str) -> bool:
-    try:
-        parse_scalar(text)
-    except ScalarParseError:
-        return False
-    return True
-
-
 def _file_error(verb: str, path: str, exc: Exception) -> CliError:
     """"cannot read PATH: reason" (or write), naming the path once.
 
@@ -165,8 +157,9 @@ def _file_error(verb: str, path: str, exc: Exception) -> CliError:
 def _read_csv(path: str) -> tuple:
     """CSV with a node column and an optional value column; header optional.
 
-    The first row is a header only when none of its cells parses as a
-    scalar, so a malformed literal there is a parse error, not a header.
+    The first row is a header only when none of its cells is written like
+    a scalar (`field.LITERAL`), so a malformed number there, such as
+    "1/0", is a parse error, not a header.
     A UTF-8 byte-order mark (Excel's "CSV UTF-8") is skipped.
     """
     try:
@@ -180,7 +173,7 @@ def _read_csv(path: str) -> tuple:
         if all(len(row) == 1 and sep in row[0] for row in rows):
             raise CliError(f"{path} separates its cells with {name}; "
                            "vandersolve reads comma-separated CSV", EXIT_PARSE)
-    if not any(_is_scalar(cell) for cell in rows[0]):
+    if not any(LITERAL.fullmatch(cell.strip()) for cell in rows[0]):
         rows = rows[1:]  # header row
     if not rows:
         raise CliError(f"{path} holds no data rows", EXIT_PARSE)

@@ -7,9 +7,9 @@ decidable.  `exact_scalar` is the one gate, run where nodes enter a
 ints and Fractions pass, other integers (numpy's, bool) become ints, and
 every other type (float, `Decimal`, str) raises TypeError, since only
 the caller knows whether 0.1 means its binary value or 1/10.
-`parse_scalar` reads every literal exactly, whatever the CLI's output
-format, and `exact_str` writes an exact scalar back at any size.  After
-the gate, `is_exact` picks the path: the closed forms and
+`parse_scalar` reads every literal exactly by `LITERAL`, the one grammar
+of a literal, owned here; `exact_str` writes an exact scalar back at any
+size.  After the gate, `is_exact` picks the path: the closed forms and
 `Polynomial.evaluate` run in ints on exact scalars, and `CountingNumber`
 runs their generic code; a solve takes exact nodes with exact values or
 counted nodes with counted values, never a mix.
@@ -30,8 +30,10 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-# The exponent of a decimal literal, as `Fraction` reads it.
-_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)\Z")
+# How a scalar literal is written: a sign, digits, "." and "/", then an
+# optional exponent, group 1 its digits.  No `_` and no inner space,
+# whatever a given Python's `Fraction` accepts.
+LITERAL = re.compile(r"[-+]?[\d./]+(?:[eE][-+]?(\d+))?")
 
 
 class ScalarParseError(ValueError):
@@ -41,16 +43,19 @@ class ScalarParseError(ValueError):
 def parse_scalar(text: str) -> Fraction:
     """Parse "p/q", "p" or a decimal literal into an exact Fraction.
 
+    The grammar is this module's `LITERAL`, the same on every Python;
     `Fraction` builds 10**e in full, so a decimal exponent is bounded like
     the digits of an int literal, by `sys.get_int_max_str_digits()`.
     """
     literal = text.strip()
     if not literal:
         raise ScalarParseError("empty scalar literal")
+    match = LITERAL.fullmatch(literal)
+    if not match:
+        raise ScalarParseError(f"cannot parse scalar {literal[:40]!r}")
     limit = sys.get_int_max_str_digits()
-    exponent = _EXPONENT.search(literal)
-    if limit and exponent:
-        digits = exponent.group(1).replace("_", "").lstrip("0")
+    if limit and match.group(1):
+        digits = match.group(1).lstrip("0")
         if len(digits) > len(str(limit)) or int(digits or "0") > limit:
             raise ScalarParseError(
                 f"exponent of {literal[:40]!r} exceeds {limit} in magnitude")

@@ -195,18 +195,15 @@ def _combine_exact(nodes: NodeSet, denominators, q) -> list:
     g = lcm(*denominators)
     m, nums = over_common_denominator(q)
     weights = [y * (g // e) * d ** (p - 1) for y, (_, d), e in zip(nums, nodes.pairs, denominators)]
-    num = prod = None
+    num, prod = [], (1,)  # the empty sum over the empty product
     for b0 in range(0, p, BLOCK):
         block = nodes.sub(b0, b0 + BLOCK)
         prod_b = compute_sigma(block)
         rows = deflate_all(block, prod_b)
         c = weights[b0:b0 + BLOCK]
         part = [sum(map(mul, column, c)) for column in zip(*rows)]
-        if num is None:
-            num, prod = part, prod_b
-        else:
-            num = _times(num, prod_b, _times(prod, part))
-            prod = _times(prod, prod_b)
+        num = _times(num, prod_b, _times(prod, part))
+        prod = _times(prod, prod_b)
     return [Fraction(s, m * g) for s in ascending(num)]
 
 

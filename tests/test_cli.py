@@ -386,13 +386,23 @@ def test_csv_with_byte_order_mark_keeps_its_first_row(tmp_path, capsys):
     assert out == '{"coefficients":["2","-1/2","1/2"],"degree":2}\n'
 
 
-def test_csv_malformed_first_row_is_not_a_header(tmp_path, capsys):
+@pytest.mark.parametrize("command,text,message", [
+    ("interpolate", "1..5,2\n2,3\n3,5\n", "cannot parse scalar '1..5'"),
+    ("sigma", "1/0\n2\n3\n", "cannot parse scalar '1/0'"),
+    ("sigma", "1e99999\n2\n3\n", "exponent of '1e99999' exceeds"),
+], ids=["two-columns", "zero-denominator", "exponent-past-the-bound"])
+def test_csv_malformed_first_row_is_not_a_header(tmp_path, capsys, command, text, message):
     path = tmp_path / "points.csv"
-    path.write_text("1..5,2\n2,3\n3,5\n", encoding="utf-8")
-    code, out, err = run_cli(capsys, "interpolate", "--csv", str(path))
-    assert code == 1
-    assert out == ""
-    assert "'1..5'" in err
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, command, "--csv", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_csv_first_row_not_written_like_a_number_is_a_header(tmp_path, capsys):
+    path = tmp_path / "nodes.csv"
+    path.write_text("x\n2\n3\n", encoding="utf-8")
+    assert run_cli(capsys, "sigma", "--csv", str(path)) == (0, '{"sigma":["1","5","6"]}\n', "")
 
 
 def test_json_with_byte_order_mark(tmp_path, capsys):

@@ -33,14 +33,14 @@ valid_literals = st.one_of(
     st.integers(-30, 30).map(str),
     st.builds("{}/{}".format, st.integers(-30, 30), st.integers(1, 12)),
     st.builds("{}.{:03d}".format, st.integers(-9, 9), st.integers(0, 999)),
-    st.sampled_from(["+7", "-0", "1_000", " 3 ", "2.5e-3", "-4E+2", "0.000", "6/4"]),
+    st.sampled_from(["+7", "-0", " 3 ", "2.5e-3", "-4E+2", "0.000", "6/4"]),
 )
 # Exponents at the digit bound parse; one past it is a parse error.
 bound_literals = st.sampled_from(
     [f"1e{BOUND}", f"-7e-{BOUND}", f"3.5E+{BOUND}", f"1e{BOUND + 1}", f"2e-{BOUND + 1}"])
 malformed_literals = st.sampled_from(
     ["", "abc", "1/0", "1//2", "--1", "1e", "0x10", "nan", "inf", "1.2.3", "1 2", "1/2/3",
-     "1" * (BOUND + 1), "\x00", "½"])
+     "1" * (BOUND + 1), "\x00", "½", "1_000"])
 small_sizes = st.integers(1, 40)
 # n past the size budget is refused before anything is built
 sizes = st.one_of(small_sizes, small_sizes, small_sizes, st.integers(41, 64),

@@ -45,6 +45,23 @@ def test_parse_rejects_garbage(text):
         parse_scalar(text)
 
 
+@pytest.mark.parametrize("text", ["1_000", "1_0", "1 / 2", "1\t/2", "1e1_0", "- 3"])
+def test_parse_refuses_digit_groups_and_inner_spaces(text):
+    """`Fraction` reads some of these on some Pythons; `field.LITERAL` on none."""
+    with pytest.raises(ScalarParseError, match="cannot parse scalar"):
+        parse_scalar(text)
+
+
+@given(st.text(alphabet="0123456789./+-e_ ", max_size=8))
+def test_parse_is_fraction_on_the_literal_grammar(text):
+    try:
+        got = parse_scalar(text)
+    except ScalarParseError:
+        return
+    assert got == Fraction(text.strip())
+    assert "_" not in text and " " not in text.strip()
+
+
 def test_parse_bounds_the_decimal_exponent():
     limit = sys.get_int_max_str_digits()
     assert parse_scalar("1e-3000") == Fraction(1, 10**3000)

@@ -18,7 +18,9 @@ The corpus:
   and with `--float`, `--pretty` or `--verify` added;
 - edge cases: n <= 0, tall consistent and inconsistent solves, results
   past 4300 digits, a `--float` overflow, refused sizes, a large `kernel`
-  written to a file, and `sigma --deflated --verify` up to p = 60.
+  written to a file, `sigma --deflated --verify` up to p = 60, literals
+  with `_` digit groups or inner spaces, and one-column CSV files whose
+  first row is a malformed number or a header.
 `bench` timings vary from run to run, so only its refusals are run.
 """
 
@@ -71,7 +73,7 @@ def _both_targets(name: str, variants) -> list:
             for target, extra in (("stdout", []), ("file", ["--out", OUT]))]
 
 
-def _edge_cases() -> list:
+def _edge_cases(workdir: str) -> list:
     rng = random.Random(16)
 
     def rationals(p):
@@ -113,7 +115,14 @@ def _edge_cases() -> list:
         ("bench reps refused", ["bench", "--sizes=4", "--reps=100000"]),
         ("bad literal", ["interpolate", "--nodes=1,2/0", "--values=1,2"]),
         ("duplicate node", ["sigma", "--nodes=1,2,2/1"]),
+        ("digit groups", ["interpolate", "--nodes=1_000,2", "--values=1,2"]),
+        ("inner spaces", ["sigma", "--nodes=1 / 2,3"]),
     ]
+    for i, first in enumerate(("1/0", "1e99999", "x")):
+        path = os.path.join(workdir, f"first-row-{i}.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"{first}\n2\n3\n")
+        cases.append((f"csv first row {first}", ["sigma", "--csv", path]))
     cases = [case for name, argv in cases for case in _both_targets(name, [argv])]
     cases.append(("large kernel -> file", ["kernel", "--nodes=1,-2,3/2", "--n=1000",
                                            "--out", OUT]))
@@ -186,7 +195,7 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
         subprocess.run(["tar", "-x", "-C", base_dir], input=archive.stdout, check=True)
-        cases = _cli_small(os.path.join(tmp, "corpus")) + _edge_cases()
+        cases = _cli_small(os.path.join(tmp, "corpus")) + _edge_cases(tmp)
         cases_path = os.path.join(tmp, "cases.json")
         with open(cases_path, "w", encoding="utf-8") as fh:
             json.dump(cases, fh)
