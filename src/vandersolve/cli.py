@@ -157,9 +157,9 @@ def _file_error(verb: str, path: str, exc: Exception) -> CliError:
 def _read_csv(path: str) -> tuple:
     """CSV with a node column and an optional value column; header optional.
 
-    The first row is a header only when none of its cells is written like
-    a scalar (`field.LITERAL`), so a malformed number there, such as
-    "1/0", is a parse error, not a header.
+    The first row is a header only when none of its cells starts like a
+    scalar (`field.LITERAL`), so a malformed number there, such as "1/0"
+    or "1_000", is a parse error, not a header.
     A UTF-8 byte-order mark (Excel's "CSV UTF-8") is skipped.
     """
     try:
@@ -173,7 +173,7 @@ def _read_csv(path: str) -> tuple:
         if all(len(row) == 1 and sep in row[0] for row in rows):
             raise CliError(f"{path} separates its cells with {name}; "
                            "vandersolve reads comma-separated CSV", EXIT_PARSE)
-    if not any(LITERAL.fullmatch(cell.strip()) for cell in rows[0]):
+    if not any(LITERAL.match(cell.strip()) for cell in rows[0]):
         rows = rows[1:]  # header row
     if not rows:
         raise CliError(f"{path} holds no data rows", EXIT_PARSE)

@@ -390,7 +390,10 @@ def test_csv_with_byte_order_mark_keeps_its_first_row(tmp_path, capsys):
     ("interpolate", "1..5,2\n2,3\n3,5\n", "cannot parse scalar '1..5'"),
     ("sigma", "1/0\n2\n3\n", "cannot parse scalar '1/0'"),
     ("sigma", "1e99999\n2\n3\n", "exponent of '1e99999' exceeds"),
-], ids=["two-columns", "zero-denominator", "exponent-past-the-bound"])
+    ("sigma", "1_000\n2\n3\n", "cannot parse scalar '1_000'"),
+    ("sigma", "1 / 2\n2\n3\n", "cannot parse scalar '1 / 2'"),
+], ids=["two-columns", "zero-denominator", "exponent-past-the-bound", "digit-groups",
+        "inner-spaces"])
 def test_csv_malformed_first_row_is_not_a_header(tmp_path, capsys, command, text, message):
     path = tmp_path / "points.csv"
     path.write_text(text, encoding="utf-8")

@@ -39,16 +39,12 @@ def test_parse_exact(text, expected):
     assert parse_scalar(text) == expected
 
 
-@pytest.mark.parametrize("text", ["", "x", "1/0", "2/", "1/2/3", "--3", "nan", "inf"])
+# `Fraction` reads digit groups and inner spaces on some Pythons;
+# `field.LITERAL` on none.
+@pytest.mark.parametrize("text", ["", "x", "1/0", "2/", "1/2/3", "--3", "nan", "inf",
+                                  "1_000", "1_0", "1 / 2", "1\t/2", "1e1_0", "- 3"])
 def test_parse_rejects_garbage(text):
-    with pytest.raises(ScalarParseError):
-        parse_scalar(text)
-
-
-@pytest.mark.parametrize("text", ["1_000", "1_0", "1 / 2", "1\t/2", "1e1_0", "- 3"])
-def test_parse_refuses_digit_groups_and_inner_spaces(text):
-    """`Fraction` reads some of these on some Pythons; `field.LITERAL` on none."""
-    with pytest.raises(ScalarParseError, match="cannot parse scalar"):
+    with pytest.raises(ScalarParseError, match="cannot parse scalar|empty scalar"):
         parse_scalar(text)
 
 

@@ -118,7 +118,7 @@ def _edge_cases(workdir: str) -> list:
         ("digit groups", ["interpolate", "--nodes=1_000,2", "--values=1,2"]),
         ("inner spaces", ["sigma", "--nodes=1 / 2,3"]),
     ]
-    for i, first in enumerate(("1/0", "1e99999", "x")):
+    for i, first in enumerate(("1/0", "1e99999", "x", "1_000", "1 / 2")):
         path = os.path.join(workdir, f"first-row-{i}.csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"{first}\n2\n3\n")
