@@ -15,14 +15,15 @@ a single matrix-vector product dots with the scaled right-hand side.  So
 it needs O(PANEL * p) memory, never a p x p grid (Bjorck & Pereyra,
 Math. Comp. 24, 1970, do O(p^2) work in O(p) memory too).
 Elimination runs in panels of PANEL columns, as LAPACK's dgetrf does:
-each panel is factored by halves on a contiguous copy (dgetrf2), its
-rows are permuted once, a unit-lower solve of one vector-matrix product
-per row brings its rows of the columns to its right up to date, and
-matrix products apply it to the trailing block, one block of PANEL rows
-at a time.  b rides along as column n of one n x (n + 1) working copy,
-so it needs no updates of its own, and the kernel holds O(n * PANEL)
-scratch besides.  It forms the same products as unblocked elimination,
-so it counts what that counts.
+each panel is factored column by column on a contiguous copy, its rows
+are permuted once, a unit-lower solve of one vector-matrix product per
+row brings its rows of the columns to its right up to date, and matrix
+products apply it to the trailing block, one block of PANEL rows at a
+time.  b rides along as column n of one n x (n + 1) working copy, so it
+needs no updates of its own, and the kernel holds O(n * PANEL) scratch
+besides.  Both kernels run under one numpy buffer rule
+(`_one_row_buffer`).  Elimination forms the same products as unblocked
+elimination, so it counts what that counts.
 
 At benchmark sizes the float values themselves overflow to inf/NaN: the
 deflation subtraction cancels catastrophically and sigma values grow
@@ -102,32 +103,39 @@ def deflate_all_floats(nodes: np.ndarray, sigma: np.ndarray, scaled: np.ndarray,
     return u
 
 
+def _one_row_buffer(width: int) -> None:
+    """Cut numpy's ufunc buffer to one row of `width` elements, the lane's one buffer rule.
+
+    Each kernel calls it first in its `np.errstate` block, which restores
+    the size on exit (numpy >= 2.0); numpy requires a multiple of 16
+    elements.  With room for several rows (the default holds 8192
+    elements), numpy 2.4 runs the lane's 2-D strided and broadcast ufuncs
+    through the buffer, copying their operands: the column denominators'
+    broadcast subtraction measured about twice as slow for p below about
+    2700, and the elimination about 1.7 times as slow.
+    """
+    np.setbufsize(16 * -(-width // 16))
+
+
 def _column_denominators(nodes: np.ndarray) -> np.ndarray:
     """prod_(k != j) (a_j - a_k) for every j, as a running product over k.
 
     The factors for PANEL values of k fill the rows below the running
     product in one (PANEL + 1) x p scratch array, and one reduce over axis
     0 multiplies them in row by row: bit-identical to `denoms *= factor`
-    one k at a time.
-
-    The ufunc buffer is cut to one row, a multiple of 16 elements as numpy
-    requires.  With room for several rows (the default holds 8192
-    elements), numpy 2.4 runs the broadcast subtraction through the buffer,
-    copying its operands, and it measured about twice as slow for p below
-    about 2700.
+    one k at a time.  `solve_square_floats` runs it under the one-row
+    buffer (`_one_row_buffer`).
     """
     n = len(nodes)
     denoms = np.ones(n)
     rows = np.empty((min(PANEL, n) + 1, n))
-    with np.errstate():  # restores the buffer size on exit (numpy >= 2.0)
-        np.setbufsize(16 * -(-n // 16))
-        for k0 in range(0, n, PANEL):
-            k1 = min(k0 + PANEL, n)
-            block = rows[:k1 - k0 + 1]
-            block[0] = denoms
-            np.subtract(nodes, nodes[k0:k1, None], out=block[1:])
-            block[np.arange(1, k1 - k0 + 1), np.arange(k0, k1)] = 1.0  # the k-th factor
-            np.multiply.reduce(block, axis=0, out=denoms)
+    for k0 in range(0, n, PANEL):
+        k1 = min(k0 + PANEL, n)
+        block = rows[:k1 - k0 + 1]
+        block[0] = denoms
+        np.subtract(nodes, nodes[k0:k1, None], out=block[1:])
+        block[np.arange(1, k1 - k0 + 1), np.arange(k0, k1)] = 1.0  # the k-th factor
+        np.multiply.reduce(block, axis=0, out=denoms)
     return denoms
 
 
@@ -142,6 +150,7 @@ def solve_square_floats(nodes: np.ndarray, values: np.ndarray, ops: OpCounter) -
     n = len(nodes)
     sigma = sigma_floats(nodes, ops)
     with np.errstate(all="ignore"):
+        _one_row_buffer(n)
         denoms = _column_denominators(nodes)
         ops.subs += n * (n - 1)  # the j = k factor is not a field operation
         ops.muls += n * (n - 1)
@@ -168,40 +177,28 @@ def _forward(l: np.ndarray, b: np.ndarray) -> None:
         b[i] -= l[i, :i] @ b[:i]
 
 
-def _factor_panel(panel: np.ndarray, order: np.ndarray, j0: int, j1: int) -> None:
-    """LU with partial pivoting of columns j0..j1 of a transposed panel, by halves.
+def _factor_panel(panel: np.ndarray, order: np.ndarray) -> None:
+    """LU with partial pivoting of a transposed panel, one column at a time.
 
     Row j of `panel` is the panel's column j of the working copy from the
     panel's first row down, so a row swap of the copy is a swap of two
     buffer columns; each swap moves the whole buffer, so the panel's other
     columns are always in the current row order, and `order` records it.
-    The left half is factored first, a unit-lower solve (`_forward`, row
-    by row) brings the right half's top rows up to date, one matrix
-    product subtracts the left half from the rest of the right half, and
-    the right half is factored.  The halving pays: a flat panel and
-    one-column leaves both ran slower.  Leaves of PANEL // 4 columns run
-    step by step: pivot search, swap, the multipliers divided in place
-    below the diagonal, and a rank-1 update of the leaf's own columns.
-    It counts nothing: `gaussian_solve_floats` adds the counts of the
-    whole elimination at once.
+    Step j searches column j for its pivot, swaps, divides the multipliers
+    in place below the diagonal and subtracts one rank-1 update from all
+    the panel's columns to its right.  It counts nothing:
+    `gaussian_solve_floats` adds the counts of the whole elimination at
+    once.
     """
-    if j1 - j0 <= max(1, PANEL // 4):
-        for j in range(j0, j1):
-            col = panel[j]
-            r = j + int(np.abs(col[j:]).argmax())
-            if r != j:
-                panel[:, j], panel[:, r] = panel[:, r], panel[:, j].copy()
-                order[j], order[r] = order[r], order[j]
-            f = col[j + 1:]  # the multipliers, stored in place below the diagonal
-            f /= col[j]
-            if j + 1 < j1:
-                panel[j + 1:j1, j + 1:] -= panel[j + 1:j1, j, None] * f
-        return
-    jm = j0 + (j1 - j0) // 2
-    _factor_panel(panel, order, j0, jm)
-    _forward(panel[j0:jm, j0:jm].T, panel[jm:j1, j0:jm].T)
-    panel[jm:j1, jm:] -= panel[jm:j1, j0:jm] @ panel[j0:jm, jm:]
-    _factor_panel(panel, order, jm, j1)
+    for j in range(len(panel)):
+        col = panel[j]
+        r = j + int(np.abs(col[j:]).argmax())
+        if r != j:
+            panel[:, j], panel[:, r] = panel[:, r], panel[:, j].copy()
+            order[j], order[r] = order[r], order[j]
+        f = col[j + 1:]  # the multipliers, stored in place below the diagonal
+        f /= col[j]
+        panel[j + 1:, j + 1:] -= panel[j + 1:, j, None] * f
 
 
 def gaussian_solve_floats(matrix: np.ndarray, values: np.ndarray, ops: OpCounter) -> np.ndarray:
@@ -209,40 +206,41 @@ def gaussian_solve_floats(matrix: np.ndarray, values: np.ndarray, ops: OpCounter
 
     Right-looking LU with partial pivoting (Golub & Van Loan, section
     3.2.11), blocked as in LAPACK's dgetrf, on one n x (n + 1) working
-    copy whose column n is b.  Each panel is copied, transposed, into a
-    contiguous buffer of at most n x PANEL doubles and factored there by
-    halves, as LAPACK's dgetrf2 does (Toledo, SIMAX 18(4), 1997; see
-    `_factor_panel`).  After the panel the buffer is written back and the
-    rows it moved are gathered once in the columns to its right, b
-    included (dlaswp); the columns to its left keep their old row order,
-    since their multipliers are never read again.  A unit-lower solve
-    (`_forward`, the one the panel uses: one vector-matrix product per
-    row) then brings the panel's rows of the right-hand columns up to
-    date, and the panel is applied to the trailing block one block of
-    PANEL rows at a time, each block's matrix product subtracted in place
-    (dgetrf's dgemm accumulates into the matrix the same way).  So besides its working copy the kernel holds
-    only O(n * PANEL) scratch: the panel buffer, one block's product and
-    the gathered rows.  Back substitution runs one row at a time on
-    column n.  Every product l_ik * u_kj is still formed exactly once, so
-    the counts, added once from n, are those of element-wise unblocked
-    elimination: n(n - 1)/2 + n divisions, and (n - 1)n(n + 1)/3 +
-    n(n - 1)/2 multiplies and as many subtractions, b and back
-    substitution included.  Pivot search and row swaps are free, and
-    vectorized evaluation reassociates sums without changing the
+    copy whose column n is b, under the one-row buffer
+    (`_one_row_buffer`).  Each panel is copied, transposed, into a
+    contiguous buffer of at most n x PANEL doubles and factored there one
+    column at a time (`_factor_panel`).  After the panel the buffer is
+    written back and the rows it moved are gathered once in the columns
+    to its right, b included (dlaswp); the columns to its left keep their
+    old row order, since their multipliers are never read again.  A
+    unit-lower solve (`_forward`: one vector-matrix product per row) then
+    brings the panel's rows of the right-hand columns up to date, and the
+    panel is applied to the trailing block one block of PANEL rows at a
+    time, each block's matrix product subtracted in place (dgetrf's dgemm
+    accumulates into the matrix the same way).  So besides its working
+    copy the kernel holds only O(n * PANEL) scratch: the panel buffer,
+    one block's product and the gathered rows.  Back substitution runs
+    one row at a time on column n.  Every product l_ik * u_kj is still
+    formed exactly once, so the counts, added once from n, are those of
+    element-wise unblocked elimination: n(n - 1)/2 + n divisions, and
+    (n - 1)n(n + 1)/3 + n(n - 1)/2 multiplies and as many subtractions, b
+    and back substitution included.  Pivot search and row swaps are free,
+    and vectorized evaluation reassociates sums without changing the
     multiply/divide work.
     """
     n = len(values)
     a = np.empty((n, n + 1))
-    a[:, :n] = matrix
-    a[:, n] = values
     x = np.zeros(n)
     with np.errstate(all="ignore"):
+        _one_row_buffer(n + 1)
+        a[:, :n] = matrix
+        a[:, n] = values
         for k0 in range(0, n, PANEL):
             k1 = min(k0 + PANEL, n)
             # order[r] is the row of a that buffer column r came from
             panel = np.ascontiguousarray(a[k0:, k0:k1].T)
             order = np.arange(k0, n)
-            _factor_panel(panel, order, 0, k1 - k0)
+            _factor_panel(panel, order)
             a[k0:, k0:k1] = panel.T
             # The columns right of the panel were left alone until every
             # swap of the panel was known.

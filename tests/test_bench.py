@@ -23,10 +23,10 @@ BLOCKS = [bench.PANEL - 1, bench.PANEL, bench.PANEL + 1, 2 * bench.PANEL + 3]
 # boundaries at sizes where doubles still agree with it.
 SMALL_BLOCKS = [(panel, p) for panel in (2, 3)
                 for p in (panel - 1, panel, panel + 1, 2 * panel + 1)]
-# elimination: each side of a leaf (PANEL // 4 columns), uneven halves,
-# one and two panels and a remainder
-RECURSION_EDGES = [bench.PANEL // 4 - 1, bench.PANEL // 4 + 1, bench.PANEL // 2 + 1,
-                   bench.PANEL + 3, 2 * bench.PANEL + 5]
+# elimination: one panel narrower than PANEL, at three widths, then one
+# and two whole panels, each with a narrower one after it
+PANEL_EDGES = [bench.PANEL // 4 - 1, bench.PANEL // 4 + 1, bench.PANEL // 2 + 1,
+               bench.PANEL + 3, 2 * bench.PANEL + 5]
 
 
 def exact_nodes(p):
@@ -94,11 +94,26 @@ def test_blocked_denominators_are_the_sequential_product(p):
     assert np.array_equal(bench._column_denominators(nodes), sequential_denominators(nodes))
 
 
+@pytest.mark.parametrize("kernel", ["closed form", "elimination"])
 @pytest.mark.parametrize("p", [1, 33, 300])
-def test_closed_form_restores_the_ufunc_buffer_size(p):
-    # numpy 2.0 scopes setbufsize to the errstate block the denominators cut it in
+def test_kernels_restore_the_ufunc_buffer_size(kernel, p):
+    # numpy 2.0 scopes setbufsize to the errstate block each kernel cuts it in
+    nodes, values = bench.bench_nodes(p), bench.bench_values(p)
     before = np.getbufsize()
-    bench.solve_square_floats(bench.bench_nodes(p), bench.bench_values(p), OpCounter())
+    if kernel == "closed form":
+        bench.solve_square_floats(nodes, values, OpCounter())
+    else:
+        bench.gaussian_solve_floats(bench.build_matrix_floats(nodes, p), values, OpCounter())
+    assert np.getbufsize() == before
+
+
+def test_elimination_restores_the_ufunc_buffer_size_when_it_raises():
+    # one value fewer than the matrix has rows: filling the working copy fails
+    # after the buffer was cut
+    matrix, values = bench.build_matrix_floats(bench.bench_nodes(33), 33), bench.bench_values(32)
+    before = np.getbufsize()
+    with pytest.raises(ValueError):
+        bench.gaussian_solve_floats(matrix, values, OpCounter())
     assert np.getbufsize() == before
 
 
@@ -165,7 +180,7 @@ def random_system(p):
 
 
 @pytest.mark.parametrize("p", [31, 32, 33, 65, 100, 3 * bench.PANEL, 3 * bench.PANEL + 1]
-                         + RECURSION_EDGES)
+                         + PANEL_EDGES)
 def test_gaussian_kernel_across_panels(p):
     # random normal rows: beyond one panel, some pivots come from below the current panel
     matrix, vals = random_system(p)
@@ -210,9 +225,10 @@ def test_gaussian_kernel_with_pivots_from_below_the_panel():
 def test_gaussian_kernel_with_pivots_from_below_while_factoring_the_right_half():
     # Strictly column-dominant rows keep their pivots through elimination,
     # so the pivot of step k is wherever dominant row k sits.  Rows of the
-    # first panel's right half go to the bottom, reversed: the left half
-    # factors without a swap, and every step of the right half pivots on
-    # a row below the panel.
+    # first panel's right half go to the bottom, reversed: the panel's
+    # first PANEL // 2 steps pivot without a swap, and every later step
+    # pivots on a row below the panel, after rank-1 updates have already
+    # changed the columns it swaps.
     p = 2 * bench.PANEL + 3
     half = bench.PANEL // 2
     rng = np.random.default_rng(p)
@@ -236,7 +252,7 @@ def instrumented_gaussian_counts(matrix, vals):
 @pytest.mark.parametrize("panel", [2, 3, 5])
 @pytest.mark.parametrize("p", [1, 2, 4, 7, 11, 17])
 def test_gaussian_kernel_with_small_panels_matches_oracle(monkeypatch, panel, p):
-    # leaves of one column (PANEL // 4 is 0 or 1) and halves of uneven width
+    # panels of two, three and five columns, and a last panel narrower than PANEL
     monkeypatch.setattr(bench, "PANEL", panel)
     matrix, vals = random_system(p)
     ops = OpCounter()
@@ -254,7 +270,7 @@ def test_gaussian_kernel_keeps_a_small_residual(p):
     assert np.max(np.abs(matrix @ w - vals)) <= 1e-10 * np.max(np.abs(vals))
 
 
-@pytest.mark.parametrize("p", [33, 65] + RECURSION_EDGES)
+@pytest.mark.parametrize("p", [33, 65] + PANEL_EDGES)
 def test_gaussian_bulk_counts_across_panels(p):
     matrix, vals = random_system(p)
     bulk = OpCounter()

@@ -2,9 +2,12 @@
 the package's sigma record divides out the int rows of `symfuncs`; the
 elimination oracle imports nothing of the code it checks, and the
 test-only references import only it and `field`; only `field` and the
-oracle lift a row over its denominators."""
+oracle lift a row over its denominators; the exact lanes never import
+numpy."""
 
 import ast
+import os
+import subprocess
 import sys
 import types
 from fractions import Fraction
@@ -84,3 +87,16 @@ def test_reference_imports_only_the_standard_library_field_and_oracle():
     relative, absolute = _imports(reference)
     assert relative == set()
     assert _non_stdlib(absolute) <= {"vandersolve.field", "vandersolve.oracle"}
+
+
+def test_exact_lanes_never_import_numpy():
+    # a fresh interpreter: numpy's import is a large share of a CLI run's start-up
+    env = {**os.environ, "PYTHONPATH": str(Path(vandersolve.__file__).resolve().parents[1])}
+    script = ("import sys, vandersolve, vandersolve.cli; "
+              "code = vandersolve.cli.main(['interpolate', '--nodes=1,2,3', '--values=1,4,9', "
+              "'--verify']); "
+              "print('numpy' in sys.modules); sys.exit(code)")
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1] == "False"

@@ -7,9 +7,10 @@ fixed corpus of CLI requests then runs through REF's
 `vandersolve.cli.main` and through the working tree's, each tree in a
 process of its own, one tree after the other.  Each case compares the
 exit code, stdout, stderr and the file written by `--out`.  The first
-differing case is printed, then a summary line; the exit code is 1 on
-any difference, 0 when there is none, and 2 when REF cannot be exported
-or a tree cannot run the corpus.
+differing case is printed in full, every further one as its index and
+name, then a summary line; the exit code is 1 on any difference, 0
+when there is none, and 2 when REF cannot be exported or a tree cannot
+run the corpus.
 
 The corpus:
 - every request of the first two cli-small blocks for seeds 1, 2 and 3,
@@ -215,6 +216,8 @@ def main(argv=None) -> int:
     if differing:
         i = differing[0]
         _report(i, cases[i], results[0][i], results[1][i], args.base)
+        for i in differing[1:]:
+            print(f"also differs: case {i}, {cases[i][0]}")
     print(f"cli_identity: {len(cases)} cases, {len(differing)} differ "
           f"({args.base} against the working tree)")
     return 1 if differing else 0
