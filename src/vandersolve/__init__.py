@@ -69,11 +69,11 @@ _Sigma = collections.namedtuple("Sigma", "nodes coeffs sigma deflated", defaults
 
 def compute_sigma(nodes: NodeSet) -> _Sigma:
     """sigma(0..p) of the node set in `.sigma`, its int row in `.coeffs`."""
-    coeffs = symfuncs.compute_sigma(nodes)
+    coeffs = symfuncs.compute_sigma(nodes.pairs)
     return _Sigma(nodes, coeffs, symfuncs.normalized(coeffs))
 
 
 def deflate_all(table: _Sigma) -> _Sigma:
     """The record with every deflated row, indices 0..p-1, in `.deflated`."""
-    rows = symfuncs.deflate_all(table.nodes, table.coeffs)
+    rows = symfuncs.deflate_all(table.nodes.pairs, table.coeffs)
     return table._replace(deflated=tuple(map(symfuncs.normalized, rows)))

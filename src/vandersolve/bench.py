@@ -145,8 +145,12 @@ def solve_square_floats(nodes: np.ndarray, values: np.ndarray, ops: OpCounter) -
     The column denominators prod_(k != j) (a_j - a_k) are built as a running
     product, PANEL factors per step, then `deflate_all_floats` dots each
     block of PANEL deflation columns with the scaled right-hand side as
-    soon as the block is written.
+    soon as the block is written.  Values whose shape is not the nodes'
+    1-D shape raise ValueError.
     """
+    if np.ndim(nodes) != 1 or np.shape(values) != np.shape(nodes):
+        raise ValueError(f"values of shape {np.shape(values)} "
+                         f"for nodes of shape {np.shape(nodes)}")
     n = len(nodes)
     sigma = sigma_floats(nodes, ops)
     with np.errstate(all="ignore"):
@@ -226,9 +230,13 @@ def gaussian_solve_floats(matrix: np.ndarray, values: np.ndarray, ops: OpCounter
     (n - 1)n(n + 1)/3 + n(n - 1)/2 multiplies and as many subtractions, b
     and back substitution included.  Pivot search and row swaps are free,
     and vectorized evaluation reassociates sums without changing the
-    multiply/divide work.
+    multiply/divide work.  A matrix that is not n x n for the n values
+    raises ValueError.
     """
-    n = len(values)
+    n = np.size(values)
+    if np.shape(values) != (n,) or np.shape(matrix) != (n, n):
+        raise ValueError(f"matrix of shape {np.shape(matrix)} "
+                         f"for values of shape {np.shape(values)}")
     a = np.empty((n, n + 1))
     x = np.zeros(n)
     with np.errstate(all="ignore"):

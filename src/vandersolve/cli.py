@@ -338,7 +338,7 @@ def _verify_verdict(problem: Problem, payload: dict):
     equation it misses, the value it takes there and the value asked for.
     """
     nodes, values, n = problem.nodes, problem.values, problem.n
-    head = nodes.sub(0, n)
+    head = NodeSet(nodes[:n])
     fit = interpolate(head, values[:n])
     if len(fit.coeffs) > n:
         _verify_fail(f"the fit of the first {n} equations has more than {n} coefficients")
@@ -424,10 +424,11 @@ def cmd_kernel(problem: Problem, args) -> tuple:
 
 
 def cmd_sigma(problem: Problem, args) -> tuple:
-    coeffs = compute_sigma(problem.nodes)
+    pairs = problem.nodes.pairs
+    coeffs = compute_sigma(pairs)
     payload = {"sigma": normalized(coeffs)}
     if args.deflated:
-        payload["deflated"] = tuple(map(normalized, deflate_all(problem.nodes, coeffs)))
+        payload["deflated"] = tuple(map(normalized, deflate_all(pairs, coeffs)))
     return payload, EXIT_OK
 
 

@@ -78,10 +78,11 @@ def solve_general(nodes: NodeSet, q, n: int) -> AffineSolutionSpace:
     """All solutions of the p-equation, n-unknown system, for any p and n.
 
     Each value passes `field.exact_scalar`.  The particular solution
-    solves the square system on the first min(p, n) nodes; for p < n it
-    is padded with n - p zeros, and for p > n every remaining equation
-    is compared exactly, the first one missed raising
-    InconsistentSystemError; n < 1 raises ValueError before any of it.
+    solves the square system on the first min(p, n) nodes: the node set
+    itself for p <= n, padded with n - p zeros, and a `NodeSet` of the
+    first n nodes for p > n, every remaining equation then compared
+    exactly, the first one missed raising InconsistentSystemError;
+    n < 1 raises ValueError before any of it.
     """
     p = len(nodes)
     if len(q) != p:
@@ -89,7 +90,7 @@ def solve_general(nodes: NodeSet, q, n: int) -> AffineSolutionSpace:
     basis = kernel_basis(nodes, n)
     q = [exact_scalar(x) for x in q]
     m = min(p, n)
-    w = tuple(solve_square(nodes.sub(0, n), q[:m]))
+    w = tuple(solve_square(nodes if p <= n else NodeSet(nodes[:n]), q[:m]))
     miss = first_miss(Polynomial(w), nodes, q, start=m)
     if miss is not None:
         raise InconsistentSystemError(*miss, q[miss[0]])

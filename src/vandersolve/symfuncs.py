@@ -16,12 +16,11 @@ Fractions, or `CountingNumber` for op counting.  Exact nodes never reach
 these passes as Fractions: each node is taken in its own homogeneous
 coordinates, a_k = n_k / d_k in lowest terms.  `NodeSet.pairs` holds
 those (n_k, d_k), computed once per node set and cached, or (a_k, 1)
-when a node is a `CountingNumber`; the sigma pass, the deflation and the
-column denominators of `vandermonde` all read them.  `NodeSet.sub`
-takes a run of consecutive nodes as a node set of its own, sharing
-their scalars and pairs without validating again.  The passes build
-the int coefficients S of P(x) = prod(d_k x + n_k) instead of sigma, so
-sigma(t) = S_t / prod d_k.  Node k turns the row into
+when a node is a `CountingNumber`.  The sigma pass, the deflation and
+the column denominators of `vandermonde` are functions of such a tuple
+of pairs alone, so a run of consecutive nodes is a slice of it.  The
+passes build the int coefficients S of P(x) = prod(d_k x + n_k) instead
+of sigma, so sigma(t) = S_t / prod d_k.  Node k turns the row into
 S_t <- d_k S_t + n_k S_(t-1), and the row of P / (d_j x + n_j) is
 H_t = (S_t - n_j H_(t-1)) / d_j, an exact division.  No gcd runs
 anywhere, and no entry exceeds prod(|n_k| + d_k).  A node with d_k = 1
@@ -81,19 +80,6 @@ class NodeSet:
     def __getitem__(self, index):
         return self.nodes[index]
 
-    def sub(self, start: int, stop: int) -> "NodeSet":
-        """The nodes at positions start..stop-1 as a `NodeSet`, sharing their scalars and pairs.
-
-        The nodes of a valid set are already exact and distinct, so the
-        part skips validation; an empty part raises ValueError.
-        """
-        part = object.__new__(NodeSet)
-        object.__setattr__(part, "nodes", self.nodes[start:stop])
-        if not part.nodes:
-            raise ValueError("a NodeSet needs at least one node")
-        part.__dict__["pairs"] = self.pairs[start:stop]
-        return part
-
     @cached_property
     def pairs(self) -> tuple:
         """(n_k, d_k) per node: a_k = n_k / d_k in lowest terms, or (a_k, 1) off the exact path."""
@@ -110,11 +96,10 @@ def normalized(row) -> tuple:
     return tuple(Fraction(c, head) for c in row)
 
 
-def compute_sigma(nodes: NodeSet) -> tuple:
-    """All coefficients of prod(d_k x + n_k) in one triangular pass, codegree 0 first."""
-    p = len(nodes)
-    s = [1] + [0] * p
-    for i, (n, d) in enumerate(nodes.pairs, 1):
+def compute_sigma(pairs) -> tuple:
+    """All coefficients of prod(d_k x + n_k) over the (n_k, d_k) pairs, codegree 0 first."""
+    s = [1] + [0] * len(pairs)
+    for i, (n, d) in enumerate(pairs, 1):
         if d == 1:
             for j in range(i, 0, -1):
                 s[j] = s[j] + n * s[j - 1]
@@ -138,14 +123,14 @@ def _quotient(s, n, d) -> tuple:
     return tuple(row)
 
 
-def deflate_all(nodes: NodeSet, coeffs: tuple) -> tuple:
+def deflate_all(pairs, coeffs: tuple) -> tuple:
     """Row j: the coefficients of P(x) / (d_j x + n_j), P given by `coeffs`.
 
-    `coeffs` is `compute_sigma(nodes)`; the p rows take quadratic total
+    `coeffs` is `compute_sigma(pairs)`; the p rows take quadratic total
     work.  Rows are independent, so the loop could run in parallel without
     changing any result.
     """
-    return tuple(_quotient(coeffs, n, d) for n, d in nodes.pairs)
+    return tuple(_quotient(coeffs, n, d) for n, d in pairs)
 
 
 def ascending(row) -> tuple:
@@ -158,7 +143,7 @@ def poly_from_roots(nodes: NodeSet) -> Polynomial:
 
     Exact nodes get Fraction coefficients, one S_(p-i) / prod d_k each.
     """
-    s = compute_sigma(nodes)
+    s = compute_sigma(nodes.pairs)
     if not is_exact(nodes):
         return Polynomial(ascending(s))
     return Polynomial(tuple(Fraction(c, s[0]) for c in ascending(s)))

@@ -1,7 +1,8 @@
 """Square Vandermonde systems in closed form.
 
 Inverse and solve run the same four layers on every scalar type, with
-quadratic total work and no elimination:
+quadratic total work and no elimination; the first three read only the
+nodes' (n_k, d_k) pairs (`NodeSet.pairs`):
 
 1. `symfuncs.compute_sigma`, the sigma pass, one int row;
 2. `symfuncs.deflate_all`, the deflated rows, one int row per node;
@@ -33,16 +34,15 @@ that path.
 The exact solve puts the values over one common denominator and the
 weights d_j^(p-1) / E_j over G = lcm(E_j), so each output coefficient is
 one integer of the row N = sum_j c_j H_j.  `_combine_exact` runs the
-sigma pass and the deflation on each block of BLOCK consecutive nodes
-(`NodeSet.sub`), takes the block's part of N as integer dot
-products, and folds it into one running numerator, so no p x p table is
-ever held.  For p <= BLOCK that is the full-table combine itself.  It is
-an algorithm equivalent to the table over all p nodes, and a test holds
-the two bit-identical.  A solve is all exact or all counted: exact
-nodes take only int and Fraction values, counted nodes only
-`CountingNumber` values, and any other mix raises TypeError.  `inverse`
-and `poly_from_roots` take either kind of node set, and
-`Polynomial.evaluate` any mix.
+sigma pass and the deflation on each block of BLOCK consecutive pairs,
+takes the block's part of N as integer dot products, and folds it into
+one running numerator, so no p x p table is ever held.  For p <= BLOCK
+that is the full-table combine itself.  It is an algorithm equivalent
+to the table over all p nodes, and a test holds the two bit-identical.
+A solve is all exact or all counted: exact nodes take only int and
+Fraction values, counted nodes only `CountingNumber` values, and any
+other mix raises TypeError.  `inverse` and `poly_from_roots` take
+either kind of node set, and `Polynomial.evaluate` any mix.
 
 `DenseMatrix` is the record `inverse` returns.
 
@@ -140,10 +140,10 @@ def inverse(nodes: NodeSet) -> DenseMatrix:
     entry (i, j) = d_j^(p-1) * numerator / E_j from the integer row, one
     Fraction each.
     """
-    n = len(nodes)
-    rows = deflate_all(nodes, compute_sigma(nodes))
+    n, pairs = len(nodes), nodes.pairs
+    rows = deflate_all(pairs, compute_sigma(pairs))
     columns = []
-    for row, (_, d), e in zip(rows, nodes.pairs, _column_denominators(nodes.pairs)):
+    for row, (_, d), e in zip(rows, pairs, _column_denominators(pairs)):
         lead = d ** (n - 1)
         columns.append([exact_div(c if d == 1 else lead * c, e) for c in ascending(row)])
     entries = tuple(columns[j][i] for i in range(n) for j in range(n))
@@ -171,13 +171,14 @@ def solve_square(nodes: NodeSet, q) -> list:
     if any(is_exact([x]) != exact for x in q):
         raise TypeError("a solve is all exact or all counted: int and Fraction values "
                         "on exact nodes, CountingNumber values on counted nodes")
-    denominators = _column_denominators(nodes.pairs)
+    pairs = nodes.pairs
+    denominators = _column_denominators(pairs)
     if exact:
-        return _combine_exact(nodes, denominators, q)
-    return _combine_generic(deflate_all(nodes, compute_sigma(nodes)), denominators, q)
+        return _combine_exact(pairs, denominators, q)
+    return _combine_generic(deflate_all(pairs, compute_sigma(pairs)), denominators, q)
 
 
-def _combine_exact(nodes: NodeSet, denominators, q) -> list:
+def _combine_exact(pairs, denominators, q) -> list:
     """The layers and the combine on exact nodes, BLOCK nodes at a time.
 
     w_i = (-1)^(p-1-i) sum_j H_j[p-1-i] * q_j * d_j^(p-1) / E_j.  With
@@ -191,13 +192,13 @@ def _combine_exact(nodes: NodeSet, denominators, q) -> list:
     H_j = H_j^b * P / P_b, the blocks fold as N <- N * P_b + P * N_b,
     then P <- P * P_b, P being the product over the nodes so far.
     """
-    p = len(nodes)
+    p = len(pairs)
     g = lcm(*denominators)
     m, nums = over_common_denominator(q)
-    weights = [y * (g // e) * d ** (p - 1) for y, (_, d), e in zip(nums, nodes.pairs, denominators)]
+    weights = [y * (g // e) * d ** (p - 1) for y, (_, d), e in zip(nums, pairs, denominators)]
     num, prod = [], (1,)  # the empty sum over the empty product
     for b0 in range(0, p, BLOCK):
-        block = nodes.sub(b0, b0 + BLOCK)
+        block = pairs[b0:b0 + BLOCK]
         prod_b = compute_sigma(block)
         rows = deflate_all(block, prod_b)
         c = weights[b0:b0 + BLOCK]

@@ -53,7 +53,7 @@ def _square_node_sets():
 def test_criterion_1_sigma_oracle_equivalence():
     t0 = time.monotonic()
     for ns in _sigma_node_sets():
-        sigma = normalized(compute_sigma(ns))
+        sigma = normalized(compute_sigma(ns.pairs))
         for t in range(len(ns) + 1):
             assert sigma[t] == reference.sigma_bruteforce(ns, t)
     _finish(1, "sigma oracle equivalence, 200 node sets", t0, 10)
@@ -62,8 +62,8 @@ def test_criterion_1_sigma_oracle_equivalence():
 def test_criterion_2_deflation_identity_suite():
     t0 = time.monotonic()
     for ns in _sigma_node_sets():
-        coeffs = compute_sigma(ns)
-        sigma, rows = normalized(coeffs), deflate_all(ns, coeffs)
+        coeffs = compute_sigma(ns.pairs)
+        sigma, rows = normalized(coeffs), deflate_all(ns.pairs, coeffs)
         for i, a in enumerate(ns):
             padded = (0, *normalized(rows[i]), 0)  # deflated rows are zero outside 0..p-1
             for t in range(len(ns) + 1):
@@ -147,7 +147,7 @@ def test_criterion_7_complexity():
     for p in (10, 100, 1000):
         ops = OpCounter()
         ns = NodeSet(tuple(counting(bench.bench_nodes(p).tolist(), ops)))
-        compute_sigma(ns)
+        compute_sigma(ns.pairs)
         assert ops.muls == p * (p + 1) // 2  # one multiply per multiply-add step
         assert ops.adds == p * (p + 1) // 2
         assert ops.subs == ops.divs == ops.negs == 0

@@ -48,7 +48,7 @@ def test_bench_nodes_are_distinct_and_bounded():
 @pytest.mark.parametrize("p", SIZES)
 def test_sigma_kernel_matches_exact_path(p):
     got = bench.sigma_floats(bench.bench_nodes(p), OpCounter())
-    want = [float(x) for x in normalized(compute_sigma(exact_nodes(p)))]
+    want = [float(x) for x in normalized(compute_sigma(exact_nodes(p).pairs))]
     assert np.allclose(got, want, rtol=1e-9)
 
 
@@ -56,8 +56,8 @@ def test_sigma_kernel_matches_exact_path(p):
 def test_deflation_kernel_matches_exact_path(p):
     nodes = bench.bench_nodes(p)
     grid = deflation_grid(nodes, bench.sigma_floats(nodes, OpCounter()))
-    ns = exact_nodes(p)
-    want = [[float(x) for x in normalized(row)] for row in deflate_all(ns, compute_sigma(ns))]
+    pairs = exact_nodes(p).pairs
+    want = [[float(x) for x in normalized(row)] for row in deflate_all(pairs, compute_sigma(pairs))]
     assert np.allclose(grid, want, rtol=1e-9)
 
 
@@ -108,13 +108,29 @@ def test_kernels_restore_the_ufunc_buffer_size(kernel, p):
 
 
 def test_elimination_restores_the_ufunc_buffer_size_when_it_raises():
-    # one value fewer than the matrix has rows: filling the working copy fails
-    # after the buffer was cut
-    matrix, values = bench.build_matrix_floats(bench.bench_nodes(33), 33), bench.bench_values(32)
+    # an entry that is no number: filling the working copy fails after the
+    # buffer was cut
+    matrix = bench.build_matrix_floats(bench.bench_nodes(33), 33).astype(object)
+    matrix[5, 7] = "x"
     before = np.getbufsize()
-    with pytest.raises(ValueError):
-        bench.gaussian_solve_floats(matrix, values, OpCounter())
+    with pytest.raises(ValueError, match="could not convert"):
+        bench.gaussian_solve_floats(matrix, bench.bench_values(33), OpCounter())
     assert np.getbufsize() == before
+
+
+@pytest.mark.parametrize("shape,count", [((1, 1), 3), ((1, 1), 0), ((3, 2), 3)])
+def test_elimination_refuses_a_matrix_that_is_not_n_by_n(shape, count):
+    # broadcasting would fill the working copy from a 1 x 1 matrix
+    with pytest.raises(ValueError, match=rf"matrix of shape \({shape[0]}, {shape[1]}\) "
+                                         rf"for values of shape \({count},\)"):
+        bench.gaussian_solve_floats(np.full(shape, 2.0), np.ones(count), OpCounter())
+
+
+@pytest.mark.parametrize("count", [1, 0])
+def test_closed_form_refuses_values_of_another_shape_than_the_nodes(count):
+    with pytest.raises(ValueError, match=rf"values of shape \({count},\) "
+                                         rf"for nodes of shape \(5,\)"):
+        bench.solve_square_floats(bench.bench_nodes(5), np.ones(count), OpCounter())
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -783,18 +783,18 @@ def _plus_root_product(nodes, q):
 
 # The tampering acts on the integer rows; cli prints sigma and the
 # deflated rows divided out of them.
-def _sigma_with_wrong_entry(nodes):
-    coeffs = compute_sigma(nodes)
+def _sigma_with_wrong_entry(pairs):
+    coeffs = compute_sigma(pairs)
     return coeffs[:2] + (coeffs[2] + 1,) + coeffs[3:]
 
 
-def _sigma_with_extra_coefficient(nodes):
-    return compute_sigma(nodes) + (1,)
+def _sigma_with_extra_coefficient(pairs):
+    return compute_sigma(pairs) + (1,)
 
 
 def _deflated_with(change):
-    def fake(nodes, coeffs):
-        rows = list(deflate_all(nodes, coeffs))
+    def fake(pairs, coeffs):
+        rows = list(deflate_all(pairs, coeffs))
         rows[1] = change(rows[1])
         return tuple(rows)
     return fake
@@ -838,7 +838,7 @@ KERNEL = ("kernel", "--nodes", "1,2", "--n", "5")
      "deflated row 1 times (x - -2) misses sigma(2)"),
     (DEFLATED, "deflate_all", _deflated_with(lambda row: row + (0,)),
      "deflated row 1 has 5 entries, not 4"),
-    (DEFLATED, "deflate_all", lambda nodes, coeffs: deflate_all(nodes, coeffs)[:-1],
+    (DEFLATED, "deflate_all", lambda pairs, coeffs: deflate_all(pairs, coeffs)[:-1],
      "3 deflated rows for 4 nodes"),
     (DEFLATED, "compute_sigma", _sigma_with_wrong_entry,
      "deflated row 0 times (x - 1) misses sigma(4)"),

@@ -3,7 +3,7 @@ the package's sigma record divides out the int rows of `symfuncs`; the
 elimination oracle imports nothing of the code it checks, and the
 test-only references import only it and `field`; only `field` and the
 oracle lift a row over its denominators; the exact lanes never import
-numpy."""
+numpy; no module builds an object around its constructor."""
 
 import ast
 import os
@@ -31,7 +31,7 @@ def test_star_import_binds_exactly_all():
 def test_package_sigma_record_holds_the_divided_rows():
     nodes = vandersolve.NodeSet((Fraction(1, 2), Fraction(-2, 3), 5, Fraction(7, 4)))
     table = vandersolve.deflate_all(vandersolve.compute_sigma(nodes))
-    assert table.coeffs == symfuncs.compute_sigma(nodes)
+    assert table.coeffs == symfuncs.compute_sigma(nodes.pairs)
     assert table.sigma == tuple(map(Fraction, ("1", "79/12", "175/24", "-89/24", "-35/12")))
     assert len(table.deflated) == 4
     assert table.deflated[2] == tuple(map(Fraction, ("1", "19/12", "-5/8", "-7/12")))
@@ -81,6 +81,31 @@ def test_only_field_and_oracle_lift_rows_over_their_denominators():
     package = Path(vandersolve.__file__).parent
     lifting = {path.name for path in package.glob("*.py") if _lcm_over_denominators(path)}
     assert lifting == {"field.py", "oracle.py"}
+
+
+def _bypassed_constructors(path: Path) -> list:
+    """Lines of the source that reach `object.__new__` or store into a `__dict__`."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr == "__new__" \
+                and getattr(node.value, "id", None) == "object":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Subscript) and not isinstance(node.ctx, ast.Load) \
+                and getattr(node.value, "attr", None) == "__dict__":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and getattr(node.func.value, "attr", None) == "__dict__":
+            lines.append(node.lineno)  # __dict__.update(...) and the like
+    return lines
+
+
+def test_objects_are_built_only_by_their_constructors():
+    # a NodeSet has one construction path, the validating one, and its
+    # cached pairs are only ever computed from its own nodes
+    package = Path(vandersolve.__file__).parent
+    found = {path.name: lines for path in sorted(package.glob("*.py"))
+             if (lines := _bypassed_constructors(path))}
+    assert found == {}
 
 
 def test_reference_imports_only_the_standard_library_field_and_oracle():

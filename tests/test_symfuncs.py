@@ -26,11 +26,11 @@ def make_nodes(*xs) -> NodeSet:
 
 
 def sigma(ns: NodeSet) -> tuple:
-    return normalized(compute_sigma(ns))
+    return normalized(compute_sigma(ns.pairs))
 
 
 def deflated(ns: NodeSet) -> tuple:
-    return tuple(map(normalized, deflate_all(ns, compute_sigma(ns))))
+    return tuple(map(normalized, deflate_all(ns.pairs, compute_sigma(ns.pairs))))
 
 
 # --- NodeSet -----------------------------------------------------------------
@@ -50,20 +50,6 @@ def test_empty_node_set_rejected():
 
 def test_order_is_preserved():
     assert make_nodes(3, 1, 2).nodes == (3, 1, 2)
-
-
-@given(node_sets(max_size=8, elements=exact_scalars), st.data())
-def test_sub_equals_a_fresh_node_set(ns, data):
-    start = data.draw(st.integers(0, len(ns) - 1))
-    stop = data.draw(st.integers(start + 1, len(ns) + 2))
-    part, fresh = ns.sub(start, stop), NodeSet(ns.nodes[start:stop])
-    assert isinstance(part, NodeSet)
-    assert (part.nodes, part.pairs) == (fresh.nodes, fresh.pairs)
-
-
-def test_empty_sub_rejected():
-    with pytest.raises(ValueError):
-        make_nodes(1, 2).sub(2, 4)
 
 
 # --- compute_sigma -----------------------------------------------------------
@@ -95,6 +81,26 @@ def test_sigma_matches_subset_enumeration(ns):
 def test_sigma_is_permutation_invariant(ns, data):
     shuffled = data.draw(st.permutations(list(ns.nodes)))
     assert sigma(NodeSet(tuple(shuffled))) == sigma(ns)
+
+
+def _product(a, b) -> tuple:
+    """The coefficient rows a and b multiplied as polynomials, term by term."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return tuple(out)
+
+
+@given(node_sets(max_size=8, elements=exact_scalars), st.booleans(), st.data())
+def test_sigma_of_the_pairs_is_the_product_over_any_split(ns, counted, data):
+    # the invariant the blocked combine folds by: the row of prod(d_k x + n_k)
+    # over all pairs is the product of the rows over pairs[:k] and pairs[k:]
+    if counted:
+        ns = NodeSet(tuple(counting(ns.nodes, OpCounter())))
+    pairs = ns.pairs
+    k = data.draw(st.integers(0, len(pairs)))
+    assert compute_sigma(pairs) == _product(compute_sigma(pairs[:k]), compute_sigma(pairs[k:]))
 
 
 # --- deflate_all -------------------------------------------------------------
@@ -190,7 +196,7 @@ def test_root_identity_single_node():
 def test_triangular_pass_multiply_add_count(p):
     ops = OpCounter()
     ns = NodeSet(tuple(counting([1.0 + i for i in range(p)], ops)))
-    compute_sigma(ns)
+    compute_sigma(ns.pairs)
     assert ops.muls == ops.adds == p * (p + 1) // 2
     assert ops.subs == ops.divs == ops.negs == 0
 
@@ -199,8 +205,8 @@ def test_triangular_pass_multiply_add_count(p):
 def test_deflation_work_is_quadratic_total(p):
     ops = OpCounter()
     ns = NodeSet(tuple(counting([1.0 + i for i in range(p)], ops)))
-    coeffs = compute_sigma(ns)
+    coeffs = compute_sigma(ns.pairs)
     muls0, subs0 = ops.muls, ops.subs
-    deflate_all(ns, coeffs)
+    deflate_all(ns.pairs, coeffs)
     assert ops.muls - muls0 == p * (p - 1)
     assert ops.subs - subs0 == p * (p - 1)

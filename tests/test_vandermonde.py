@@ -124,7 +124,7 @@ def test_inverse_columns_are_lagrange_basis(ns):
 def test_denominator_product_equals_signed_power_sum(ns):
     # the direct product route and the deflated-coefficient route agree
     n = len(ns)
-    rows = deflate_all(ns, compute_sigma(ns))
+    rows = deflate_all(ns.pairs, compute_sigma(ns.pairs))
     for j, a_j in enumerate(ns):
         row = normalized(rows[j])
         numerator = Polynomial(tuple(
@@ -268,10 +268,10 @@ _mixed_systems = _mixed_nodes.flatmap(lambda xs: st.tuples(
 def _generic_table(nodes):
     """Sigma and deflated rows from the generic path on CountingNumber-wrapped Fractions."""
     ns = NodeSet(tuple(counting([F(a) for a in nodes], OpCounter())))
-    coeffs = compute_sigma(ns)
+    coeffs = compute_sigma(ns.pairs)
     return (tuple(getattr(x, "value", x) for x in normalized(coeffs)),
             tuple(tuple(getattr(x, "value", x) for x in normalized(row))
-                  for row in deflate_all(ns, coeffs)))
+                  for row in deflate_all(ns.pairs, coeffs)))
 
 
 @given(_mixed_systems)
@@ -296,8 +296,8 @@ def test_per_node_denominators_match_oracles_bit_for_bit(system):
     assert poly_from_roots(ns).coeffs == want
     assert kernel_basis(ns, p + 2).vectors == (want + (0,), (0,) + want)
 
-    coeffs = compute_sigma(ns)
-    sigma, deflated = normalized(coeffs), tuple(map(normalized, deflate_all(ns, coeffs)))
+    coeffs = compute_sigma(ns.pairs)
+    sigma, deflated = normalized(coeffs), tuple(map(normalized, deflate_all(ns.pairs, coeffs)))
     assert (sigma, deflated) == _generic_table(nodes)
     if all(F(a).denominator == 1 for a in nodes):
         assert all(type(x) is int for x in sigma + sum(deflated, ()))
@@ -307,11 +307,11 @@ def test_per_node_denominators_match_oracles_bit_for_bit(system):
 def test_stored_integer_rows_stay_below_the_homogeneous_bound(nodes):
     # every coefficient of a product of factors d x + n is at most prod(|n| + d)
     ns = NodeSet(tuple(nodes))
-    coeffs = compute_sigma(ns)
+    coeffs = compute_sigma(ns.pairs)
     bound = 1
     for a in nodes:
         bound *= abs(F(a).numerator) + F(a).denominator
-    stored = coeffs + sum(deflate_all(ns, coeffs), ())
+    stored = coeffs + sum(deflate_all(ns.pairs, coeffs), ())
     assert all(type(x) is int and abs(x) <= bound for x in stored)
 
 
@@ -386,7 +386,7 @@ def test_inverse_of_one_counted_node_is_rational():
 
 def _table_solve(ns, q) -> list:
     """The exact solve over the full p x p table of deflated rows."""
-    rows = deflate_all(ns, compute_sigma(ns))
+    rows = deflate_all(ns.pairs, compute_sigma(ns.pairs))
     return combine_exact_table(rows, ns.pairs, vandermonde._column_denominators(ns.pairs), q)
 
 
