@@ -373,7 +373,7 @@ def _verify_sigma(problem: Problem, payload: dict):
     makes each a_i a root of P, which proves sigma, and division by
     x - a_i is unique, which proves the row.  The identity runs in ints:
     sigma and every row are lifted over one common denominator, to S and
-    R_i, and with a_i = n / d it reads d (S(t) - R_i(t)) = n R_i(t-1).
+    R_i, and with (n, d) the pair of a_i it reads d (S(t) - R_i(t)) = n R_i(t-1).
     """
     nodes, sigma = problem.nodes, payload["sigma"]
     p = len(nodes)
@@ -389,10 +389,10 @@ def _verify_sigma(problem: Problem, payload: dict):
         if len(row) != p:
             _verify_fail(f"deflated row {i} has {len(row)} entries, not {p}")
     _, ints = over_common_denominator([*sigma, *(x for row in deflated for x in row)])
-    for i, a in enumerate(nodes):
+    for i, (a, (n, d)) in enumerate(zip(nodes, nodes.pairs)):
         padded = (0, *ints[(i + 1) * p + 1:(i + 2) * p + 1], 0)
         for t in range(p + 1):
-            if a.denominator * (ints[t] - padded[t + 1]) != a.numerator * padded[t]:
+            if d * (ints[t] - padded[t + 1]) != n * padded[t]:
                 _verify_fail(f"deflated row {i} times (x - {exact_str(a)}) misses sigma({t})")
 
 

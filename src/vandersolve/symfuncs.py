@@ -15,8 +15,8 @@ A `NodeSet` holds exact scalars only (`field.exact_scalar`): ints and
 Fractions, or `CountingNumber` for op counting.  Exact nodes never reach
 these passes as Fractions: each node is taken in its own homogeneous
 coordinates, a_k = n_k / d_k in lowest terms.  `NodeSet.pairs` holds
-those (n_k, d_k), computed once per node set and cached, or (a_k, 1)
-when a node is a `CountingNumber`.  The sigma pass, the deflation and
+those (n_k, d_k), formed when the node set is built, or (a_k, 1) for
+every node once one is a `CountingNumber`.  The sigma pass, the deflation and
 the column denominators of `vandermonde` are functions of such a tuple
 of pairs alone, so a run of consecutive nodes is a slice of it.  The
 passes build the int coefficients S of P(x) = prod(d_k x + n_k) instead
@@ -32,9 +32,8 @@ Both passes return these int rows as plain tuples for the closed forms;
 at degree len - 1 - t with the sign (-1)^t: the one home of that rule.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from .field import exact_scalar, exact_str, is_exact
 from .poly import Polynomial
@@ -56,20 +55,27 @@ class NodeSet:
 
     Order is preserved as given: it fixes the row order of every matrix
     built from the set.  Each node passes `field.exact_scalar`, so a
-    float or a `Decimal` raises TypeError.
+    float or a `Decimal` raises TypeError.  The `pairs` are formed as the
+    set is built, and a repeat is found on them: equal nodes, equal pairs.
     """
 
     nodes: tuple
+    pairs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(map(exact_scalar, self.nodes)))
-        if not self.nodes:
+        nodes = tuple(map(exact_scalar, self.nodes))
+        if not nodes:
             raise ValueError("a NodeSet needs at least one node")
-        seen = {}
-        for i, a in enumerate(self.nodes):
-            if a in seen:
-                raise DuplicateNodeError(a, seen[a], i)
-            seen[a] = i
+        try:
+            pairs = tuple([(a.numerator, a.denominator) for a in nodes])
+        except AttributeError:  # a CountingNumber has no numerator
+            pairs = tuple([(a, 1) for a in nodes])
+        first = {}
+        for i, pair in enumerate(pairs):
+            if first.setdefault(pair, i) != i:
+                raise DuplicateNodeError(nodes[i], first[pair], i)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "pairs", pairs)
 
     def __len__(self):
         return len(self.nodes)
@@ -79,13 +85,6 @@ class NodeSet:
 
     def __getitem__(self, index):
         return self.nodes[index]
-
-    @cached_property
-    def pairs(self) -> tuple:
-        """(n_k, d_k) per node: a_k = n_k / d_k in lowest terms, or (a_k, 1) off the exact path."""
-        if is_exact(self.nodes):
-            return tuple((a.numerator, a.denominator) for a in self.nodes)
-        return tuple((a, 1) for a in self.nodes)
 
 
 def normalized(row) -> tuple:

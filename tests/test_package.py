@@ -101,7 +101,7 @@ def _bypassed_constructors(path: Path) -> list:
 
 def test_objects_are_built_only_by_their_constructors():
     # a NodeSet has one construction path, the validating one, and its
-    # cached pairs are only ever computed from its own nodes
+    # pairs are only ever formed from its own nodes
     package = Path(vandersolve.__file__).parent
     found = {path.name: lines for path in sorted(package.glob("*.py"))
              if (lines := _bypassed_constructors(path))}

@@ -8,7 +8,7 @@ from hypothesis import given
 
 from helpers import counting, exact_scalars, node_sets, small_fractions
 from reference import sigma_bruteforce
-from vandersolve.field import OpCounter
+from vandersolve.field import CountingNumber, OpCounter, exact_str, parse_scalar
 from vandersolve.symfuncs import (
     DuplicateNodeError,
     NodeSet,
@@ -50,6 +50,50 @@ def test_empty_node_set_rejected():
 
 def test_order_is_preserved():
     assert make_nodes(3, 1, 2).nodes == (3, 1, 2)
+
+
+def _spellings(value: Fraction):
+    """One exact value as a caller may write it: a Fraction, an int, or a literal."""
+    n, d = value.numerator, value.denominator
+    texts = [f"{n * k}/{d * k}" for k in (1, 2)] + (["-0", "0/5"] if n == 0 else [])
+    return st.sampled_from([value, *map(parse_scalar, texts)] + ([n, n] if d == 1 else []))
+
+
+# five values, each under several spellings, so many lists hold a repeat
+spelled_nodes = st.lists(st.fractions(-1, 1, max_denominator=2).flatmap(_spellings),
+                         min_size=1, max_size=6)
+
+
+def _first_repeat(nodes):
+    """(j, i) with j < i and nodes[j] == nodes[i], i the least such and j the least for it."""
+    for i in range(len(nodes)):
+        for j in range(i):
+            if nodes[j] == nodes[i]:
+                return j, i
+    return None
+
+
+@given(spelled_nodes, st.sampled_from(("exact", "counted", "mixed")))
+def test_repeats_under_any_spelling_are_found_and_pairs_in_lowest_terms(xs, kind):
+    if kind != "exact":  # "mixed" counts every other node, which puts every pair at (a, 1)
+        wrapped = counting(xs, OpCounter())
+        if kind == "mixed":
+            wrapped = [w if i % 2 else a for i, (a, w) in enumerate(zip(xs, wrapped))]
+        xs = wrapped
+    counted = any(isinstance(a, CountingNumber) for a in xs)
+    repeat = _first_repeat(xs)
+    if repeat is None:
+        got = NodeSet(tuple(xs)).pairs
+        want = [(a, 1) for a in xs] if counted else [F(a).as_integer_ratio() for a in xs]
+        # typed, since a CountingNumber equals the value it wraps
+        assert [(type(n), n, d) for n, d in got] == [(type(n), n, d) for n, d in want]
+        return
+    with pytest.raises(DuplicateNodeError) as err:
+        NodeSet(tuple(xs))
+    j, i = repeat
+    assert err.value.value is xs[i]
+    assert (err.value.first, err.value.second) == (j, i)
+    assert str(err.value) == f"duplicate node {exact_str(xs[i])} at positions {j} and {i}"
 
 
 # --- compute_sigma -----------------------------------------------------------

@@ -20,8 +20,9 @@ The corpus:
 - edge cases: n <= 0, tall consistent and inconsistent solves, results
   past 4300 digits, a `--float` overflow, refused sizes, a large `kernel`
   written to a file, `sigma --deflated --verify` up to p = 60, literals
-  with `_` digit groups or inner spaces, and one-column CSV files whose
-  first row is a malformed number or a header.
+  with `_` digit groups or inner spaces, one-column CSV files whose
+  first row is a malformed number or a header, and repeated nodes
+  spelled two ways, given by `--nodes`, in a CSV file and in a JSON file.
 `bench` timings vary from run to run, so only its refusals are run.
 """
 
@@ -116,6 +117,10 @@ def _edge_cases(workdir: str) -> list:
         ("bench reps refused", ["bench", "--sizes=4", "--reps=100000"]),
         ("bad literal", ["interpolate", "--nodes=1,2/0", "--values=1,2"]),
         ("duplicate node", ["sigma", "--nodes=1,2,2/1"]),
+        ("duplicate node 2, 4/2", ["sigma", "--nodes=2,4/2"]),
+        ("duplicate node 1/2, 0.5", ["sigma", "--nodes=1/2,0.5"]),
+        ("duplicate node 0, -0", ["sigma", "--nodes=0,-0"]),
+        ("duplicate node 3, 6/2 before 1, 1", ["sigma", "--nodes=3,1,6/2,1"]),
         ("digit groups", ["interpolate", "--nodes=1_000,2", "--values=1,2"]),
         ("inner spaces", ["sigma", "--nodes=1 / 2,3"]),
     ]
@@ -124,6 +129,13 @@ def _edge_cases(workdir: str) -> list:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"{first}\n2\n3\n")
         cases.append((f"csv first row {first}", ["sigma", "--csv", path]))
+    for kind, text, argv in (
+            ("csv", "node,value\n1/3,1\n2,2\n2/6,3\n", ["interpolate"]),
+            ("json", '{"nodes": [1.5, "3/2", 2], "values": [1, 2, 3]}', ["solve", "--n=2"])):
+        path = os.path.join(workdir, f"duplicate.{kind}")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        cases.append((f"duplicate node in a {kind} file", [*argv, f"--{kind}", path]))
     cases = [case for name, argv in cases for case in _both_targets(name, [argv])]
     cases.append(("large kernel -> file", ["kernel", "--nodes=1,-2,3/2", "--n=1000",
                                            "--out", OUT]))
