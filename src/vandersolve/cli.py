@@ -32,9 +32,9 @@ whose n x n matrix would; `bench` also refuses a --reps past MAX_REPS.
 All exit 2 in the parse stage.  An error message cuts any literal it
 quotes to 40 characters.
 
-Exit codes: 0 success, 1 usage or parse error, missing input, unwritable
---out, stdout closed early or a failed stdout write (one "error: cannot
-write stdout" line), 2 invalid problem (duplicate nodes, dimension
+Exit codes: 0 success, 1 usage or parse error, missing input or an empty
+node list, unwritable --out (an empty path too), stdout closed early or a
+failed stdout write (one "error: cannot write stdout" line), 2 invalid problem (duplicate nodes, dimension
 mismatch, n < 1, an n, a `sigma --deflated` node count or a bench size
 past the size budget, a --reps past MAX_REPS, a --float result too
 large for a double), 3 inconsistent tall system (p > n and no
@@ -203,6 +203,8 @@ def _read_json(path: str) -> tuple:
         raise CliError(f'{path} must be an object with a "nodes" list', EXIT_PARSE)
     if not isinstance(data["nodes"], list):
         raise CliError(f'"nodes" in {path} must be a list', EXIT_PARSE)
+    if not data["nodes"]:
+        raise CliError(f"{path} holds no data rows", EXIT_PARSE)
     if data.get("values") is not None and not isinstance(data["values"], list):
         raise CliError(f'"values" in {path} must be a list', EXIT_PARSE)
     nodes = [str(x) for x in data["nodes"]]
@@ -496,7 +498,7 @@ def _emit(payload: dict, args) -> None:
     else:
         text = json.dumps(payload, separators=(",", ":"), ensure_ascii=False)
     out = getattr(args, "out", None)
-    if not out:
+    if out is None:  # `--out ''` names a path too, and writing to it fails
         try:
             print(text)
             sys.stdout.flush()  # a failed write raises here, inside main, not at exit

@@ -9,10 +9,9 @@ every other type (float, `Decimal`, str) raises TypeError, since only
 the caller knows whether 0.1 means its binary value or 1/10.
 `parse_scalar` reads every literal exactly by `LITERAL`, the one grammar
 of a literal, owned here; `exact_str` writes an exact scalar back at any
-size.  After the gate, `is_exact` picks the path: the closed forms and
-`Polynomial.evaluate` run in ints on exact scalars, and `CountingNumber`
-runs their generic code; a solve takes exact nodes with exact values or
-counted nodes with counted values, never a mix.
+size.  After the gate, the closed forms and `Polynomial.evaluate` run in
+ints on ints and Fractions, and `CountingNumber` runs their generic
+code; a `NodeSet` fixes a solve's lane (`NodeSet.exact`).
 `exact_div` keeps a quotient of two ints rational on both paths, and
 `over_common_denominator` lifts an exact row to ints over one denominator.
 
@@ -192,8 +191,3 @@ def over_common_denominator(row) -> tuple:
     """(L, ints) with L the lcm of the exact row's denominators and ints = L * row."""
     den = math.lcm(*(x.denominator for x in row))
     return den, [x.numerator * (den // x.denominator) for x in row]
-
-
-def is_exact(scalars) -> bool:
-    """True when every scalar is an int or a Fraction: the exact path applies."""
-    return all(isinstance(x, (int, Fraction)) for x in scalars)

@@ -7,16 +7,15 @@ first p coefficients, zero-padded) plus that span.  For p > n the kernel
 is trivial: the square solve on the first n nodes is the only candidate,
 and each remaining equation is checked exactly.  A system that misses one
 has no solution and raises InconsistentSystemError.  `kernel_basis`
-owns the rule n >= 1 and `solve_general` runs it first: n < 1 raises
-ValueError("need n >= 1").
+owns the rule n >= 1, and `solve_general` runs it once every value has
+passed `NodeSet.gate_values`: n < 1 raises ValueError("need n >= 1").
 """
 
 from dataclasses import dataclass
 
-from .field import exact_scalar
 from .poly import Polynomial, first_miss
 from .symfuncs import NodeSet, poly_from_roots
-from .vandermonde import DimensionMismatchError, solve_square
+from .vandermonde import solve_square
 
 
 class InconsistentSystemError(ValueError):
@@ -77,18 +76,16 @@ def kernel_basis(nodes: NodeSet, n: int) -> KernelBasis:
 def solve_general(nodes: NodeSet, q, n: int) -> AffineSolutionSpace:
     """All solutions of the p-equation, n-unknown system, for any p and n.
 
-    Each value passes `field.exact_scalar`.  The particular solution
-    solves the square system on the first min(p, n) nodes: the node set
-    itself for p <= n, padded with n - p zeros, and a `NodeSet` of the
-    first n nodes for p > n, every remaining equation then compared
-    exactly, the first one missed raising InconsistentSystemError;
-    n < 1 raises ValueError before any of it.
+    `NodeSet.gate_values` checks every value first, the tall tail's too,
+    then n < 1 raises ValueError before any of the rest.  The particular
+    solution solves the square system on the first min(p, n) nodes: the
+    node set itself for p <= n, padded with n - p zeros, and a `NodeSet`
+    of the first n nodes for p > n, every remaining equation then
+    compared exactly, the first one missed raising InconsistentSystemError.
     """
-    p = len(nodes)
-    if len(q) != p:
-        raise DimensionMismatchError(f"{p} nodes but {len(q)} values")
+    q = nodes.gate_values(q)
     basis = kernel_basis(nodes, n)
-    q = [exact_scalar(x) for x in q]
+    p = len(nodes)
     m = min(p, n)
     w = tuple(solve_square(nodes if p <= n else NodeSet(nodes[:n]), q[:m]))
     miss = first_miss(Polynomial(w), nodes, q, start=m)

@@ -1,8 +1,8 @@
 """Dense polynomials as ascending coefficient vectors.
 
 `Polynomial.evaluate` runs Horner's scheme on the scalars' own operators,
-except when every coefficient and x is an int or a Fraction
-(`field.is_exact`): then it evaluates in ints, with the coefficients over
+except when every coefficient and x is an int or a Fraction: then it
+evaluates in ints, with the coefficients over
 their common denominator (cached per polynomial) and x = a/b
 homogenised, and builds one Fraction at the end.  Any other scalar
 (`CountingNumber`, a float) takes the generic loop.
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .field import is_exact, over_common_denominator
+from .field import over_common_denominator
 
 
 def _trimmed(coeffs) -> tuple:
@@ -47,7 +47,7 @@ class Polynomial:
         D is the lcm of the coefficient denominators, N the numerators over
         D, and ints tells whether every coefficient is an int.
         """
-        if not is_exact(self.coeffs):
+        if not all(isinstance(c, (int, Fraction)) for c in self.coeffs):
             return None
         den, nums = over_common_denominator(self.coeffs)
         return den, nums, all(isinstance(c, int) for c in self.coeffs)
@@ -59,7 +59,7 @@ class Polynomial:
         of N_k a^k b^(d-k) by homogeneous Horner in ints, over D b^d: one
         Fraction per call, or an int where the generic loop gives one.
         """
-        lifted = self._integer_form if is_exact((x,)) else None
+        lifted = self._integer_form if isinstance(x, (int, Fraction)) else None
         if lifted is None:
             acc = 0
             for c in reversed(self.coeffs):

@@ -12,15 +12,17 @@ which is exact over rationals; over doubles the subtraction cancels
 badly, so the float lane (`bench`) uses it for cost measurement only.
 
 A `NodeSet` holds exact scalars only (`field.exact_scalar`): ints and
-Fractions, or `CountingNumber` for op counting.  Exact nodes never reach
-these passes as Fractions: each node is taken in its own homogeneous
-coordinates, a_k = n_k / d_k in lowest terms.  `NodeSet.pairs` holds
-those (n_k, d_k), formed when the node set is built, or (a_k, 1) for
-every node once one is a `CountingNumber`.  The sigma pass, the deflation and
-the column denominators of `vandermonde` are functions of such a tuple
-of pairs alone, so a run of consecutive nodes is a slice of it.  The
-passes build the int coefficients S of P(x) = prod(d_k x + n_k) instead
-of sigma, so sigma(t) = S_t / prod d_k.  Node k turns the row into
+Fractions, or `CountingNumber` for op counting; it fixes a solve's lane
+(`NodeSet.exact`) and holds the values to it (`NodeSet.gate_values`).
+Exact nodes never reach these passes as Fractions: each node is taken in
+its own homogeneous coordinates, a_k = n_k / d_k in lowest terms.
+`NodeSet.pairs` holds those (n_k, d_k), formed when the node set is built,
+or (a_k, 1) for every node once one is a `CountingNumber`.  The sigma
+pass, the deflation and the column denominators of `vandermonde` are
+functions of such a tuple of pairs alone, so a run of consecutive nodes
+is a slice of it.  The passes build the int coefficients S of
+P(x) = prod(d_k x + n_k) instead of sigma, so sigma(t) = S_t / prod d_k.
+Node k turns the row into
 S_t <- d_k S_t + n_k S_(t-1), and the row of P / (d_j x + n_j) is
 H_t = (S_t - n_j H_(t-1)) / d_j, an exact division.  No gcd runs
 anywhere, and no entry exceeds prod(|n_k| + d_k).  A node with d_k = 1
@@ -35,8 +37,12 @@ at degree len - 1 - t with the sign (-1)^t: the one home of that rule.
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .field import exact_scalar, exact_str, is_exact
+from .field import CountingNumber, exact_scalar, exact_str
 from .poly import Polynomial
+
+
+class DimensionMismatchError(ValueError):
+    """A vector or dimension does not match the node count."""
 
 
 class DuplicateNodeError(ValueError):
@@ -55,27 +61,29 @@ class NodeSet:
 
     Order is preserved as given: it fixes the row order of every matrix
     built from the set.  Each node passes `field.exact_scalar`, so a
-    float or a `Decimal` raises TypeError.  The `pairs` are formed as the
-    set is built, and a repeat is found on them: equal nodes, equal pairs.
+    float or a `Decimal` raises TypeError.  The `pairs` and `exact` are
+    fixed as the set is built, and a repeat is found on the pairs.
     """
 
     nodes: tuple
     pairs: tuple = field(init=False, repr=False, compare=False)
+    exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nodes = tuple(map(exact_scalar, self.nodes))
         if not nodes:
             raise ValueError("a NodeSet needs at least one node")
         try:
-            pairs = tuple([(a.numerator, a.denominator) for a in nodes])
+            pairs, exact = tuple([(a.numerator, a.denominator) for a in nodes]), True
         except AttributeError:  # a CountingNumber has no numerator
-            pairs = tuple([(a, 1) for a in nodes])
+            pairs, exact = tuple([(a, 1) for a in nodes]), False
         first = {}
         for i, pair in enumerate(pairs):
             if first.setdefault(pair, i) != i:
                 raise DuplicateNodeError(nodes[i], first[pair], i)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "exact", exact)
 
     def __len__(self):
         return len(self.nodes)
@@ -85,6 +93,20 @@ class NodeSet:
 
     def __getitem__(self, index):
         return self.nodes[index]
+
+    def gate_values(self, q) -> list:
+        """A solve's values, one per node, through `field.exact_scalar` and all in this lane.
+
+        A solve is all exact or all counted, else TypeError: ints and
+        Fractions on exact nodes, `CountingNumber`s on counted ones.
+        """
+        if len(q) != len(self.nodes):
+            raise DimensionMismatchError(f"{len(self.nodes)} nodes but {len(q)} values")
+        q = [exact_scalar(x) for x in q]
+        if any(isinstance(x, CountingNumber) == self.exact for x in q):
+            raise TypeError("a solve is all exact or all counted: int and Fraction values "
+                            "on exact nodes, CountingNumber values on counted nodes")
+        return q
 
 
 def normalized(row) -> tuple:
@@ -143,7 +165,7 @@ def poly_from_roots(nodes: NodeSet) -> Polynomial:
     Exact nodes get Fraction coefficients, one S_(p-i) / prod d_k each.
     """
     s = compute_sigma(nodes.pairs)
-    if not is_exact(nodes):
+    if not nodes.exact:
         return Polynomial(ascending(s))
     return Polynomial(tuple(Fraction(c, s[0]) for c in ascending(s)))
 

@@ -18,7 +18,7 @@ its denominator; the solve sums those columns weighted by q_j, and
 differences.
 
 Inputs are exact scalars (`field.exact_scalar` gates the nodes in
-`NodeSet` and the values here).  With a_k = n_k / d_k
+`NodeSet` and the values in `NodeSet.gate_values`).  With a_k = n_k / d_k
 (`NodeSet.pairs`), the rows are the int rows H_j of prod over k != j of
 (d_k x + n_k) (see `symfuncs`), and the column denominator is
 E_j = prod over k != j of (n_j d_k - n_k d_j).  The factors prod over
@@ -39,10 +39,10 @@ takes the block's part of N as integer dot products, and folds it into
 one running numerator, so no p x p table is ever held.  For p <= BLOCK
 that is the full-table combine itself.  It is an algorithm equivalent
 to the table over all p nodes, and a test holds the two bit-identical.
-A solve is all exact or all counted: exact nodes take only int and
-Fraction values, counted nodes only `CountingNumber` values, and any
-other mix raises TypeError.  `inverse` and `poly_from_roots` take
-either kind of node set, and `Polynomial.evaluate` any mix.
+The node set fixes the lane (`NodeSet.exact`), and a solve's values
+must keep to it (`NodeSet.gate_values`).  `inverse` and
+`poly_from_roots` take either kind of node set, `Polynomial.evaluate`
+any mix.
 
 `DenseMatrix` is the record `inverse` returns.
 
@@ -56,9 +56,9 @@ from itertools import repeat
 from math import lcm
 from operator import add, mul
 
-from .field import exact_div, exact_scalar, is_exact, over_common_denominator
+from .field import exact_div, over_common_denominator
 from .poly import Polynomial
-from .symfuncs import NodeSet, ascending, compute_sigma, deflate_all
+from .symfuncs import DimensionMismatchError, NodeSet, ascending, compute_sigma, deflate_all
 
 __all__ = [
     "DenseMatrix",
@@ -70,10 +70,6 @@ __all__ = [
 ]
 
 BLOCK = 16  # nodes per block of the exact combine
-
-
-class DimensionMismatchError(ValueError):
-    """A vector or dimension does not match the node count."""
 
 
 @dataclass(frozen=True)
@@ -158,22 +154,12 @@ def solve_square(nodes: NodeSet, q) -> list:
     deflation rows and their dot products with the column weights,
     folded into one running numerator; on counted nodes the sigma pass,
     p deflation rows and a final grid-vector sum.  No elimination
-    anywhere.  Each value passes `field.exact_scalar`, and the solve is
-    all exact or all counted: the values are ints and Fractions exactly
-    when the nodes are, else every value is a `CountingNumber`.  Any
-    other mix raises TypeError.
+    anywhere.  `NodeSet.gate_values` checks the values first.
     """
-    n = len(nodes)
-    if len(q) != n:
-        raise DimensionMismatchError(f"{n} nodes but {len(q)} values")
-    q = [exact_scalar(x) for x in q]
-    exact = is_exact(nodes)
-    if any(is_exact([x]) != exact for x in q):
-        raise TypeError("a solve is all exact or all counted: int and Fraction values "
-                        "on exact nodes, CountingNumber values on counted nodes")
+    q = nodes.gate_values(q)
     pairs = nodes.pairs
     denominators = _column_denominators(pairs)
-    if exact:
+    if nodes.exact:
         return _combine_exact(pairs, denominators, q)
     return _combine_generic(deflate_all(pairs, compute_sigma(pairs)), denominators, q)
 

@@ -482,6 +482,14 @@ def test_csv_without_data_rows_is_exit_one(tmp_path, capsys, text):
     assert err == f"error: {path} holds no data rows\n"
 
 
+@pytest.mark.parametrize("command", ["interpolate", "sigma"])
+def test_json_with_no_nodes_is_exit_one_as_an_empty_csv(tmp_path, capsys, command):
+    path = tmp_path / "problem.json"
+    path.write_text('{"nodes": [], "values": []}', encoding="utf-8")
+    code, out, err = run_cli(capsys, command, "--json", str(path))
+    assert (code, out, err) == (1, "", f"error: {path} holds no data rows\n")
+
+
 def test_csv_ragged_rows_rejected(tmp_path, capsys):
     path = tmp_path / "bad.csv"
     path.write_text("0,1\n1\n", encoding="utf-8")
@@ -607,6 +615,20 @@ def test_out_into_missing_directory_is_exit_one(tmp_path, capsys):
     assert out == ""
     assert "cannot write" in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("interpolate", "--nodes=0,1", "--values=1,2", "--verify"),
+    ("solve", "--nodes=0,1", "--values=1,2", "--n=3"),
+    ("kernel", "--nodes=0,1", "--n=3", "--pretty"),
+    ("sigma", "--nodes=0,1", "--deflated", "--float"),
+    ("bench", "--sizes=4,8", "--reps=1"),
+], ids=["interpolate", "solve", "kernel", "sigma", "bench"])
+def test_empty_out_path_is_exit_one_and_prints_nothing(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--out", "")
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    assert line.startswith("error: cannot write ")
 
 
 @pytest.mark.parametrize("argv,verb", [

@@ -2,7 +2,8 @@
 the package's sigma record divides out the int rows of `symfuncs`; the
 elimination oracle imports nothing of the code it checks, and the
 test-only references import only it and `field`; only `field` and the
-oracle lift a row over its denominators; the exact lanes never import
+oracle lift a row over its denominators; only `field` and `symfuncs`
+tell the exact and counted lanes apart; the exact lanes never import
 numpy; no module builds an object around its constructor."""
 
 import ast
@@ -81,6 +82,24 @@ def test_only_field_and_oracle_lift_rows_over_their_denominators():
     package = Path(vandersolve.__file__).parent
     lifting = {path.name for path in package.glob("*.py") if _lcm_over_denominators(path)}
     assert lifting == {"field.py", "oracle.py"}
+
+
+def _names_in_code(path: Path) -> set:
+    """Every name the source's code uses, as `x` or `.x`: strings and imports do not count."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_only_field_and_symfuncs_tell_the_lanes_apart():
+    # a NodeSet fixes a solve's lane once (`NodeSet.exact`) and holds the
+    # values to it (`NodeSet.gate_values`): no other module tests for a
+    # CountingNumber, and no module asks `is_exact` again
+    package = Path(vandersolve.__file__).parent
+    names = {path.name: _names_in_code(path) for path in package.glob("*.py")}
+    assert {module for module, used in names.items() if "CountingNumber" in used} \
+        == {"field.py", "symfuncs.py"}
+    assert {module for module, used in names.items() if "is_exact" in used} == set()
 
 
 def _bypassed_constructors(path: Path) -> list:

@@ -363,12 +363,17 @@ _MIXED_SOLVES = {
     "partly-counted-values": ((0, F(1, 2), 4), [CountingNumber(1, OpCounter()), 2, F(1, 3)]),
     "counted-nodes-plain-fractions": (tuple(_counted([F(1), F(2), F(-3)])),
                                       [F(1), F(1, 2), F(-4)]),
+    # the only mix lies past n in a tall solve, where the equation is only checked
+    "exact-nodes-counted-tail": ((0, 1, 2), [F(1), F(2), CountingNumber(3, OpCounter())]),
+    "counted-nodes-exact-tail": (tuple(_counted([F(0), F(1), F(2)])),
+                                 [*_counted([F(1), F(2)]), F(3)]),
 }
 
 
 @pytest.mark.parametrize("solve", [
     solve_square, interpolate, lambda ns, q: solve_general(ns, q, len(q) + 1),
-], ids=["solve_square", "interpolate", "solve_general"])
+    lambda ns, q: solve_general(ns, q, len(q) - 1),
+], ids=["solve_square", "interpolate", "solve_general", "solve_general_tall"])
 @pytest.mark.parametrize("case", sorted(_MIXED_SOLVES))
 def test_a_solve_is_all_exact_or_all_counted(case, solve):
     nodes, q = _MIXED_SOLVES[case]

@@ -21,8 +21,9 @@ The corpus:
   past 4300 digits, a `--float` overflow, refused sizes, a large `kernel`
   written to a file, `sigma --deflated --verify` up to p = 60, literals
   with `_` digit groups or inner spaces, one-column CSV files whose
-  first row is a malformed number or a header, and repeated nodes
-  spelled two ways, given by `--nodes`, in a CSV file and in a JSON file.
+  first row is a malformed number or a header, repeated nodes spelled
+  two ways, given by `--nodes`, in a CSV file and in a JSON file, a JSON
+  file with an empty node list, and an empty `--out` path.
 `bench` timings vary from run to run, so only its refusals are run.
 """
 
@@ -136,7 +137,12 @@ def _edge_cases(workdir: str) -> list:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         cases.append((f"duplicate node in a {kind} file", [*argv, f"--{kind}", path]))
+    path = os.path.join(workdir, "no-nodes.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{"nodes": [], "values": []}')
+    cases.append(("no nodes in a json file", ["interpolate", "--json", path]))
     cases = [case for name, argv in cases for case in _both_targets(name, [argv])]
+    cases.append(("empty --out path", ["interpolate", "--nodes=0,1", "--values=1,2", "--out", ""]))
     cases.append(("large kernel -> file", ["kernel", "--nodes=1,-2,3/2", "--n=1000",
                                            "--out", OUT]))
     cases.append(("large kernel --verify -> file", ["kernel", "--nodes=1/3,5", "--n=800",
